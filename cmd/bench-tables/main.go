@@ -143,16 +143,13 @@ func perf() {
 	kb.Wait()
 
 	// Adaptive-format workloads. These are fixed-size (independent of
-	// -scale): a ~60%-full dense block where the bitmap view pays, a
-	// 2^20-dimension hypersparse multiply where the occupied-row list
-	// pays, and the triangle-count formulation family on a skewed graph
-	// where the degree presort pays.
+	// -scale): a ~60%-full dense block, a 2^20-dimension hypersparse
+	// multiply where the occupied-row list pays, and the triangle-count
+	// formulation family on a skewed graph where the degree presort pays.
 	nd := 1 << 10
 	dense := denseBlock(nd)
 	denseCSR := dense.Dup()
 	denseCSR.SetFormat(grb.FormatCSR)
-	denseBM := dense.Dup()
-	denseBM.SetFormat(grb.FormatBitmap)
 	denseAuto := dense.Dup()
 	denseAuto.SetFormat(grb.FormatAuto)
 	du := make([]float64, nd)
@@ -215,8 +212,8 @@ func perf() {
 			c := grb.MustMatrix[float64](256*64, 256*64)
 			_ = grb.Kronecker[float64, float64, float64, bool](c, nil, nil, grb.Times[float64](), ka, kb, nil)
 		}},
-		// Dense-operand vxm: the format pair. Same operands, same dense
-		// frontier; only the matrix format (and hence the kernel) differs.
+		// Dense-operand vxm: same operands, same dense frontier; only the
+		// direction (and hence the kernel) differs.
 		{"vxm_dense_push", func() {
 			w := grb.MustVector[float64](nd)
 			_ = grb.VxM(w, (*grb.Vector[bool])(nil), nil, grb.PlusTimes[float64](), dvec, denseCSR,
@@ -227,25 +224,15 @@ func perf() {
 			_ = grb.VxM(w, (*grb.Vector[bool])(nil), nil, grb.PlusTimes[float64](), dvec, denseCSR,
 				&grb.Descriptor{Dir: grb.DirPull})
 		}},
-		{"vxm_dense_bitmap", func() {
-			w := grb.MustVector[float64](nd)
-			_ = grb.VxM(w, (*grb.Vector[bool])(nil), nil, grb.PlusTimes[float64](), dvec, denseBM, nil)
-		}},
 		{"vxm_dense_auto", func() {
 			w := grb.MustVector[float64](nd)
 			_ = grb.VxM(w, (*grb.Vector[bool])(nil), nil, grb.PlusTimes[float64](), dvec, denseAuto, nil)
 		}},
 		// Masked dot mxm (A·Bᵀ, the triangle-count orientation): each
-		// admitted output merges two compressed rows, or probes B's
-		// bitmap row contiguously.
+		// admitted output merges two compressed rows.
 		{"mxm_dot_dense", func() {
 			c := grb.MustMatrix[float64](nd, nd)
 			_ = grb.MxM(c, km, nil, grb.PlusTimes[float64](), denseCSR, denseCSR,
-				&grb.Descriptor{Method: grb.MxMDot, TranB: true})
-		}},
-		{"mxm_dot_bitmap", func() {
-			c := grb.MustMatrix[float64](nd, nd)
-			_ = grb.MxM(c, km, nil, grb.PlusTimes[float64](), denseCSR, denseBM,
 				&grb.Descriptor{Method: grb.MxMDot, TranB: true})
 		}},
 		// Hypersparse multiply: the occupied-row list vs a 2^20-entry row
@@ -323,7 +310,7 @@ func perf() {
 		auto    string
 		statics []string
 	}{
-		{"vxm_dense", "vxm_dense_auto", []string{"vxm_dense_push", "vxm_dense_pull", "vxm_dense_bitmap"}},
+		{"vxm_dense", "vxm_dense_auto", []string{"vxm_dense_push", "vxm_dense_pull"}},
 		{"tc", "tc_auto", []string{"tc_burkhardt", "tc_sandia_lut", "tc_sandia_ll", "tc_sandia_ll_sorted"}},
 	}
 	fmt.Println()
@@ -641,7 +628,7 @@ func ingestTable() {
 
 // denseBlock builds an n×n float64 matrix with exactly 60% of each row
 // occupied (a fixed residue pattern, so runs are reproducible without a
-// RNG): the regime where the bitmap view beats compressed storage.
+// RNG): a dense block where compressed indices carry the most overhead.
 func denseBlock(n int) *grb.Matrix[float64] {
 	p := make([]int, n+1)
 	is := make([]int, 0, n*n*6/10)

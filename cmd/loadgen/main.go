@@ -206,9 +206,10 @@ func run(opts options) error {
 		if code/100 != 2 {
 			return fmt.Errorf("load: status %d: %s", code, body)
 		}
-		if opts.edges > 0 {
-			// Second copy for the mutation traffic, so the concurrent edge
-			// batches cannot perturb the main graph's determinism checks.
+		if opts.edges > 0 || opts.dual {
+			// Second copy for the mutation traffic (edge batches and the
+			// dual-mode pass), so it cannot perturb the main graph's
+			// determinism checks.
 			load["name"] = mutName(name)
 			code, body, err := postJSON(client, base+"/v1/graphs", load)
 			if err != nil {

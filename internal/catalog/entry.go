@@ -305,6 +305,17 @@ func (e *Entry) Generation() uint64 {
 	return e.gen.Load()
 }
 
+// GenerationJournal returns the generation and the journal mark as one
+// consistent pair. Writers advance both under the exclusive lock, so
+// sampling them under the shared lock never splits a batch: the pair is
+// wholly before or wholly after any Ingest. It takes the read lock, so
+// unlike Generation it must not be called from inside a View callback.
+func (e *Entry) GenerationJournal() (gen, journal uint64) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.gen.Load(), e.jseq.Load()
+}
+
 // SeedGeneration initializes the mutation counter of a freshly added
 // entry. Boot recovery uses it to make generations continue the durable
 // sequence persisted in a snapshot instead of restarting at zero, which

@@ -127,3 +127,37 @@ func TestSnapshotPinsJournalSeq(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestGenerationJournalIsOnePair samples GenerationJournal while a writer
+// ingests batch after batch, each setting the journal mark to its own
+// sequence number: every sample must pair a generation with the journal
+// mark of the same batch, never one batch's mark with its neighbour's
+// generation.
+func TestGenerationJournalIsOnePair(t *testing.T) {
+	_, e := ingestGraph(t, 8)
+	gen0, _ := e.GenerationJournal()
+	const batches = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for k := uint64(1); k <= batches; k++ {
+			_ = e.Ingest(func(*lagraph.Graph) (bool, error) {
+				e.SetJournalSeq(k)
+				return true, nil
+			})
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if gen, journal := e.GenerationJournal(); gen-gen0 != journal || journal != batches {
+				t.Fatalf("final pair (gen %d, journal %d), want journal %d at gen %d", gen, journal, batches, gen0+batches)
+			}
+			return
+		default:
+		}
+		if gen, journal := e.GenerationJournal(); gen-gen0 != journal {
+			t.Fatalf("split sample: gen %d (base %d) with journal %d", gen, gen0, journal)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,16 +174,23 @@ func makeGraph(t *testing.T, n int, kind lagraph.Kind) *lagraph.Graph {
 // journaled batch, then journal → apply → advance marks.
 func (tn *testNode) ingest(t *testing.T, b store.EdgeBatch) {
 	t.Helper()
+	if err := tn.tryIngest(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tryIngest is ingest for callers off the test goroutine.
+func (tn *testNode) tryIngest(b store.EdgeBatch) error {
 	if !tn.pers.HasDurable(b.Name) {
 		if _, err := tn.pers.SnapshotOne(b.Name); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
 	e, err := tn.cat.Get(b.Name)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	if err := e.Ingest(func(g *lagraph.Graph) (bool, error) {
+	return e.Ingest(func(g *lagraph.Graph) (bool, error) {
 		lsn, jerr := tn.pers.JournalEdges(b)
 		if jerr != nil {
 			return false, jerr
@@ -193,9 +201,7 @@ func (tn *testNode) ingest(t *testing.T, b store.EdgeBatch) {
 		e.SetJournalSeq(lsn)
 		tn.pers.MarkApplied(b.Name, lsn)
 		return true, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // graphChecksum serializes the graph and digests the image with FNV-64a:
@@ -436,6 +442,69 @@ func TestReplicaKillRecoverResumesStream(t *testing.T) {
 	}
 	if st.MaxLagLSN != 0 {
 		t.Fatalf("lag did not converge: %+v", st)
+	}
+}
+
+// TestWriterRacingPollKeepsReplica phase-locks a writer to the replica's
+// poll: the primary lands one batch just before it answers every status
+// request and every WAL window request. Each window therefore carries a
+// record newer than the status sample the replica is comparing against,
+// so the replica ends every catch-up ahead of the sampled journal mark.
+// That is not divergence: the replica must follow by stream alone, with
+// no snapshot re-ship, and converge on the primary's bytes.
+func TestWriterRacingPollKeepsReplica(t *testing.T) {
+	ids := []string{"p", "r"}
+	nodes := newTestCluster(t, ids, flatTopology(1, 1, ids), ids)
+	ring := NewRing(nodes["p"].top)
+	name := pickName(t, ring, "race", func(o []NodeInfo) bool { return o[0].ID == "p" })
+	primary, replica := nodes["p"], nodes["r"]
+
+	if _, err := primary.cat.Add(name, makeGraph(t, 64, lagraph.Directed)); err != nil {
+		t.Fatal(err)
+	}
+	batch := func(i int) store.EdgeBatch {
+		return store.EdgeBatch{Name: name, Ops: []store.EdgeOp{
+			{Src: i % 64, Dst: (i*11 + 3) % 64, Weight: float64(i) + 0.5},
+		}}
+	}
+	primary.ingest(t, batch(0))
+	pe, err := primary.cat.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 15*time.Second, "baseline install", func() bool {
+		return replica.holdsCaughtUp(name, pe.Generation())
+	})
+
+	const racingWrites = 40
+	var written atomic.Int32
+	var writeErr atomic.Value
+	h := primary.n.Handler()
+	primary.swap.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/cluster/status", "/v1/cluster/wal":
+			if i := written.Add(1); i <= racingWrites {
+				if err := primary.tryIngest(batch(int(i))); err != nil {
+					writeErr.Store(err)
+				}
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	waitFor(t, 20*time.Second, "racing writes", func() bool {
+		return written.Load() >= racingWrites
+	})
+	if err, _ := writeErr.Load().(error); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 15*time.Second, "replica catch-up", func() bool {
+		return replica.holdsCaughtUp(name, pe.Generation())
+	})
+	if pc, rc := primary.graphChecksum(t, name), replica.graphChecksum(t, name); pc != rc {
+		t.Fatalf("checksum mismatch: primary %016x, replica %016x", pc, rc)
+	}
+	if st := replica.n.Stats(); st.FetchedSnapshots != 1 {
+		t.Fatalf("replica fetched %d snapshots, want only the baseline: %+v", st.FetchedSnapshots, st)
 	}
 }
 

@@ -46,10 +46,9 @@ type graphSync struct {
 	// head, this node rebases the graph into its own LSN space and takes
 	// over as primary.
 	promote bool
-	// genMismatch counts consecutive caught-up passes whose generation
-	// disagreed with the source — two in a row forces a snapshot re-ship
-	// (one is tolerated: the source samples journal and generation
-	// non-atomically, so a racing batch can skew a single poll).
+	// genMismatch counts consecutive passes that ended at the source's
+	// sampled journal mark with a different generation — two in a row
+	// force a snapshot re-ship.
 	genMismatch int
 }
 

@@ -388,20 +388,24 @@ func (n *Node) syncGraph(ctx context.Context, d desiredSync) bool {
 		}
 	}
 
-	// Caught up by LSN. Generations must now agree — a primary-side
+	// Caught up by LSN. The source sampled (generation, journal) as one
+	// pair, but a window may carry records written after that sample, so
+	// generations are comparable only when this copy sits exactly at the
+	// sampled journal mark. There they must agree — a primary-side
 	// replace (not journaled) or a source change across a restart leaves
-	// them different. One mismatched poll is tolerated (the source samples
-	// journal and generation non-atomically); two in a row re-ships.
-	if e.Generation() != d.gs.Generation {
-		s.genMismatch++
-		if s.genMismatch >= 2 {
-			n.logf("cluster: %q generation %d != source %d at lag 0, re-shipping snapshot",
-				name, e.Generation(), d.gs.Generation)
-			n.dropLocal(name, "generation divergence")
+	// them different. Two mismatched comparisons in a row re-ship.
+	if e.JournalSeq() == d.gs.Journal {
+		if e.Generation() != d.gs.Generation {
+			s.genMismatch++
+			if s.genMismatch >= 2 {
+				n.logf("cluster: %q generation %d != source %d at lag 0, re-shipping snapshot",
+					name, e.Generation(), d.gs.Generation)
+				n.dropLocal(name, "generation divergence")
+			}
+			return false
 		}
-		return false
+		s.genMismatch = 0
 	}
-	s.genMismatch = 0
 
 	if d.promote {
 		n.adopt(name, e)
@@ -666,11 +670,12 @@ func (n *Node) statusSnapshot() statusDoc {
 		if err != nil {
 			continue
 		}
+		gen, journal := e.GenerationJournal()
 		doc.Graphs = append(doc.Graphs, graphStatus{
 			Name:       name,
 			Role:       e.Role().String(),
-			Generation: e.Generation(),
-			Journal:    e.JournalSeq(),
+			Generation: gen,
+			Journal:    journal,
 			Lag:        e.ReplicaLag(),
 		})
 	}

@@ -1,13 +1,12 @@
 package grb_test
 
-// Format conformance: the storage formats (standard CSR, hypersparse,
-// bitmap) are interchangeable views of one logical matrix, so every
-// kernel must produce bitwise-identical results regardless of which
-// format its operands are in, at any parallelism level, traced or
-// untraced. Float64 results are compared bit-for-bit — the kernels
-// accumulate each output in ascending input-index order precisely so
-// that dispatch (direction, method, format, tuner advice) can never
-// change rounding.
+// Format conformance: the storage formats (standard CSR, hypersparse)
+// are interchangeable layouts of one logical matrix, so every kernel must
+// produce bitwise-identical results regardless of which format its
+// operands are in, at any parallelism level, traced or untraced. Float64
+// results are compared bit-for-bit — the kernels accumulate each output
+// in ascending input-index order precisely so that dispatch (direction,
+// method, format) can never change rounding.
 
 import (
 	"bytes"
@@ -27,7 +26,6 @@ var allFormats = []struct {
 }{
 	{"csr", grb.FormatCSR},
 	{"hyper", grb.FormatHyper},
-	{"bitmap", grb.FormatBitmap},
 }
 
 // inFormat returns a deep copy of a converted to format f.
@@ -113,8 +111,7 @@ func bitIdentical[T comparable](a, b T) bool {
 }
 
 // TestFormatConformanceMxM pins that every MxM method yields identical
-// bits whatever format either operand is stored in — including the
-// dot-bitmap kernel that a bitmap-formatted B upgrades the dot method to.
+// bits whatever format either operand is stored in.
 func TestFormatConformanceMxM(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	methods := []struct {
@@ -169,9 +166,8 @@ func TestFormatConformanceMxM(t *testing.T) {
 	}
 }
 
-// TestFormatConformanceVxM pins the vxm kernels — push, pull, and the
-// bitmap pair a bitmap-formatted operand enables — to identical bits
-// across formats and forced directions.
+// TestFormatConformanceVxM pins the vxm kernels — push and pull — to
+// identical bits across formats and forced directions.
 func TestFormatConformanceVxM(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	dirs := []struct {
@@ -311,8 +307,8 @@ func TestFormatSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFormatTracedIdenticalToUntraced pins that observation — including
-// a learning tuner registered as an observer — never changes results.
+// TestFormatTracedIdenticalToUntraced pins that observation never
+// changes results.
 func TestFormatTracedIdenticalToUntraced(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	m, k, n := 30, 34, 32
@@ -320,108 +316,92 @@ func TestFormatTracedIdenticalToUntraced(t *testing.T) {
 	bf := randMatrixF64(rng, k, n, 0.4)
 	uf := randVectorF64(rng, m, 0.7)
 
-	run := func() (*grb.Matrix[float64], *grb.Vector[float64]) {
+	run := func(f grb.Format) (*grb.Matrix[float64], *grb.Vector[float64]) {
 		c := grb.MustMatrix[float64](m, n)
-		if err := grb.MxM[float64, float64, float64, bool](c, nil, nil, grb.PlusTimes[float64](), inFormat(af, grb.FormatBitmap), inFormat(bf, grb.FormatBitmap), nil); err != nil {
+		if err := grb.MxM[float64, float64, float64, bool](c, nil, nil, grb.PlusTimes[float64](), inFormat(af, f), inFormat(bf, f), nil); err != nil {
 			t.Fatal(err)
 		}
 		w := grb.MustVector[float64](k)
-		if err := grb.VxM[float64, float64, float64, bool](w, nil, nil, grb.PlusTimes[float64](), uf, inFormat(af, grb.FormatBitmap), nil); err != nil {
+		if err := grb.VxM[float64, float64, float64, bool](w, nil, nil, grb.PlusTimes[float64](), uf, inFormat(af, f), nil); err != nil {
 			t.Fatal(err)
 		}
 		return c, w
 	}
 
-	baseC, baseW := run()
-
-	tuner := grb.NewTuner()
-	trace := obs.NewTrace(1024)
-	prevObs := obs.Set(&obs.Multi{Obs: []obs.Observer{trace, tuner}})
-	prevTuner := grb.SetTuner(tuner)
-	defer func() {
+	for _, fa := range allFormats {
+		baseC, baseW := run(fa.f)
+		trace := obs.NewTrace(1024)
+		prevObs := obs.Set(trace)
+		c, w := run(fa.f)
 		obs.Set(prevObs)
-		grb.SetTuner(prevTuner)
-	}()
-	for i := 0; i < 8; i++ { // enough rounds for the tuner to start advising
-		c, w := run()
-		mustIdenticalMat(t, fmt.Sprintf("traced round %d mxm", i), c, baseC)
-		mustIdenticalVec(t, fmt.Sprintf("traced round %d vxm", i), w, baseW)
-	}
-	if len(trace.Ops()) == 0 {
-		t.Fatal("trace recorded no ops")
+		mustIdenticalMat(t, fa.name+"/traced mxm", c, baseC)
+		mustIdenticalVec(t, fa.name+"/traced vxm", w, baseW)
+		if len(trace.Ops()) == 0 {
+			t.Fatalf("%s: trace recorded no ops", fa.name)
+		}
 	}
 }
 
-// TestTunerAdviseAndPolicy seeds a tuner with forced-kernel history and
-// checks that (a) auto dispatch then picks the measured winner, (b) the
-// decision is recorded as policy "tuned" in the op trace, and (c) the
-// result is identical to every static choice.
-func TestTunerAdviseAndPolicy(t *testing.T) {
+// TestDispatchPolicy pins the two selection tiers in the op trace: a
+// descriptor-forced kernel records policy "forced", the static heuristic
+// records "static", and both compute the same result.
+func TestDispatchPolicy(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	m, n := 24, 26
-	a := randMatrix(rng, m, n, 0.6) // dense enough for bitmap eligibility
+	a := randMatrix(rng, m, n, 0.6)
+	b := randMatrix(rng, n, m, 0.6)
 	u := randVector(rng, m, 0.8)
 
-	// Static baselines, forced both ways.
-	want := grb.MustVector[int64](n)
-	if err := grb.VxM[int64, int64, int64, bool](want, nil, nil, grb.PlusTimes[int64](), u, a, &grb.Descriptor{Dir: grb.DirPush}); err != nil {
-		t.Fatal(err)
-	}
-	pull := grb.MustVector[int64](n)
-	if err := grb.VxM[int64, int64, int64, bool](pull, nil, nil, grb.PlusTimes[int64](), u, a, &grb.Descriptor{Dir: grb.DirPull}); err != nil {
-		t.Fatal(err)
-	}
-	mustIdenticalVec(t, "push vs pull", pull, want)
-
-	tuner := grb.NewTuner()
-	size := int64(a.Nvals()) + int64(u.Nvals())
-	// Feed synthetic history: "pull" measured much faster than the
-	// others in this size bucket, so advice must say pull.
-	for i := 0; i < 4; i++ {
-		for kernel, dur := range map[string]int64{"push": 9000, "pull": 100, "bitmap": 8000} {
-			tuner.Op(obs.OpRecord{Op: "vxm", Kernel: kernel, DurNanos: dur, NnzA: int(size), EstFlops: 1000})
-		}
-	}
-	if k, ok := tuner.Advise("vxm", false, size, []string{"push", "pull", "bitmap"}); !ok || k != "pull" {
-		t.Fatalf("Advise = %q, %v; want pull, true", k, ok)
-	}
-
-	trace := obs.NewTrace(64)
-	prevObs := obs.Set(trace)
-	prevTuner := grb.SetTuner(tuner)
-	defer func() {
+	traced := func(f func()) obs.OpRecord {
+		t.Helper()
+		trace := obs.NewTrace(64)
+		prevObs := obs.Set(trace)
+		f()
 		obs.Set(prevObs)
-		grb.SetTuner(prevTuner)
-	}()
-	got := grb.MustVector[int64](n)
-	if err := grb.VxM[int64, int64, int64, bool](got, nil, nil, grb.PlusTimes[int64](), u, a, nil); err != nil {
-		t.Fatal(err)
-	}
-	mustIdenticalVec(t, "tuned vs static", got, want)
-	var rec *obs.OpRecord
-	for _, r := range trace.Ops() {
-		if r.Op == "vxm" {
-			rec = &r
-			break
+		ops := trace.Ops()
+		if len(ops) == 0 {
+			t.Fatal("no op record traced")
 		}
-	}
-	if rec == nil {
-		t.Fatal("no vxm op record traced")
-	}
-	if rec.Policy != "tuned" || rec.Kernel != "pull" {
-		t.Fatalf("op record policy=%q kernel=%q; want tuned/pull", rec.Policy, rec.Kernel)
+		return ops[0]
 	}
 
-	// A forced direction must bypass the tuner and record policy "forced".
-	trace2 := obs.NewTrace(64)
-	obs.Set(trace2)
-	forced := grb.MustVector[int64](n)
-	if err := grb.VxM[int64, int64, int64, bool](forced, nil, nil, grb.PlusTimes[int64](), u, a, &grb.Descriptor{Dir: grb.DirPush}); err != nil {
-		t.Fatal(err)
+	forcedW := grb.MustVector[int64](n)
+	rec := traced(func() {
+		if err := grb.VxM[int64, int64, int64, bool](forcedW, nil, nil, grb.PlusTimes[int64](), u, a, &grb.Descriptor{Dir: grb.DirPush}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rec.Op != "vxm" || rec.Policy != "forced" || rec.Kernel != "push" {
+		t.Fatalf("forced vxm recorded %+v; want policy=forced kernel=push", rec)
 	}
-	mustIdenticalVec(t, "forced vs static", forced, want)
-	ops := trace2.Ops()
-	if len(ops) == 0 || ops[0].Policy != "forced" || ops[0].Kernel != "push" {
-		t.Fatalf("forced run recorded %+v; want policy=forced kernel=push", ops)
+	autoW := grb.MustVector[int64](n)
+	rec = traced(func() {
+		if err := grb.VxM[int64, int64, int64, bool](autoW, nil, nil, grb.PlusTimes[int64](), u, a, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rec.Op != "vxm" || rec.Policy != "static" {
+		t.Fatalf("auto vxm recorded %+v; want policy=static", rec)
 	}
+	mustIdenticalVec(t, "vxm forced vs static", autoW, forcedW)
+
+	forcedC := grb.MustMatrix[int64](m, m)
+	rec = traced(func() {
+		if err := grb.MxM[int64, int64, int64, bool](forcedC, nil, nil, grb.PlusTimes[int64](), a, b, &grb.Descriptor{Method: grb.MxMHeap}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rec.Op != "mxm" || rec.Policy != "forced" || rec.Kernel != "heap" {
+		t.Fatalf("forced mxm recorded %+v; want policy=forced kernel=heap", rec)
+	}
+	autoC := grb.MustMatrix[int64](m, m)
+	rec = traced(func() {
+		if err := grb.MxM[int64, int64, int64, bool](autoC, nil, nil, grb.PlusTimes[int64](), a, b, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rec.Op != "mxm" || rec.Policy != "static" {
+		t.Fatalf("auto mxm recorded %+v; want policy=static", rec)
+	}
+	mustIdenticalMat(t, "mxm forced vs static", autoC, forcedC)
 }

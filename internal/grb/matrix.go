@@ -21,14 +21,6 @@ const (
 	// represented, O(nvals) memory, so matrices of enormous dimension can
 	// be created as long as nvals << nrows (paper §II-A).
 	FormatHyper
-	// FormatBitmap additionally maintains a dense bitmap view (a presence
-	// flag plus a value slot for every position, O(nrows·ncols) memory)
-	// next to the compressed storage, giving kernels O(1) random access —
-	// the layout that wins for dense frontiers and small dense blocks.
-	// Honored only while nrows·ncols is within bitmapMaxCells; the
-	// compressed structure remains canonical, so serialization, export,
-	// and the store's snapshot frames are unchanged by this format.
-	FormatBitmap
 )
 
 // hyperThresholdDim is the minimum dimension before FormatAuto considers
@@ -121,8 +113,6 @@ type Matrix[T any] struct {
 	csr    *cs[T] // primary storage, row-major; never nil after init
 	csc    *cs[T] // column-major cache; nil when stale
 	cscMu  sync.Mutex
-	bmp    *bm[T] // dense bitmap view cache; nil when stale or ineligible
-	bmpMu  sync.Mutex
 
 	pend   []tuple[T]
 	pendOp func(T, T) T // nil means "last value wins"
@@ -180,7 +170,6 @@ func (a *Matrix[T]) SetFormat(f Format) {
 func (a *Matrix[T]) Clear() {
 	a.csr = emptyCS[T](a.nr, a.nc, a.format == FormatHyper)
 	a.csc = nil
-	a.bmp = nil
 	a.pend = nil
 	a.pendOp = nil
 	a.nzomb = 0
@@ -217,7 +206,6 @@ func (a *Matrix[T]) SetElement(i, j int, x T) error {
 	}
 	a.pend = append(a.pend, tuple[T]{i, j, x})
 	a.csc = nil
-	a.bmp = nil
 	return nil
 }
 
@@ -275,7 +263,6 @@ func (a *Matrix[T]) SetElements(is, js []int, xs []T, dup BinaryOp[T, T, T]) err
 		a.pend = append(a.pend, tuple[T]{is[k], js[k], xs[k]})
 	}
 	a.csc = nil
-	a.bmp = nil
 	return nil
 }
 
@@ -289,7 +276,6 @@ func (a *Matrix[T]) accumElement(i, j int, x T, op func(T, T) T) {
 	a.pendOp = op
 	a.pend = append(a.pend, tuple[T]{i, j, x})
 	a.csc = nil
-	a.bmp = nil
 }
 
 // MergeElement buffers a(i,j) ← op(a(i,j), x) (or a(i,j)=x if absent)
@@ -326,7 +312,6 @@ func (a *Matrix[T]) RemoveElement(i, j int) error {
 		c.i[pos] = ^j // flip: zombie
 		a.nzomb++
 		a.csc = nil
-		a.bmp = nil
 	}
 	return nil
 }
@@ -339,12 +324,6 @@ func (a *Matrix[T]) GetElement(i, j int) (T, error) {
 		return zero, ErrIndexOutOfBounds
 	}
 	c := a.materializedCSR()
-	if v := a.cachedBitmap(); v != nil { // O(1) random access, the bitmap's specialty
-		if v.b[i*v.nc+j] {
-			return v.x[i*v.nc+j], nil
-		}
-		return zero, ErrNoValue
-	}
 	k, ok := c.findMajor(i)
 	if !ok {
 		return zero, ErrNoValue
@@ -541,17 +520,11 @@ func (a *Matrix[T]) assemble() {
 }
 
 // maybeConvertFormat moves between standard and hypersparse CSR according
-// to the configured format and, for FormatAuto, the fill heuristic. It
-// also drops the bitmap view — every caller has just replaced the
-// canonical storage — leaving bitmapView to rebuild it lazily on demand.
+// to the configured format and, for FormatAuto, the fill heuristic.
 func (a *Matrix[T]) maybeConvertFormat() {
-	a.bmp = nil
 	c := a.csr
 	switch a.format {
-	case FormatCSR, FormatBitmap:
-		// The bitmap view rides on standard CSR: bitmap-eligible matrices
-		// are small (≤ bitmapMaxCells cells) and dense, the opposite of
-		// the hypersparse regime.
+	case FormatCSR:
 		if c.h != nil {
 			a.csr = hyperToStandard(c)
 		}

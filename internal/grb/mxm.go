@@ -46,27 +46,6 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 	if method == MxMAuto {
 		method = chooseMxM(ca, mm, ar, bc)
 		policy = "static"
-		if tn := ActiveTuner(); tn != nil {
-			cands := []string{"gustavson", "heap"}
-			if mm != nil && !mm.comp {
-				if b.bitmapEligible() {
-					cands = append(cands, "dot-bitmap")
-				} else {
-					cands = append(cands, "dot")
-				}
-			}
-			if k, ok := tn.Advise("mxm", mask != nil, int64(ca.nvals())+int64(b.Nvals()), cands); ok {
-				policy = "tuned"
-				switch k {
-				case "dot", "dot-bitmap":
-					method = MxMDot
-				case "heap":
-					method = MxMHeap
-				default:
-					method = MxMGustavson
-				}
-			}
-		}
 	}
 
 	// Observation guard: one atomic load; st stays nil (and the kernels
@@ -84,18 +63,10 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 	var nnzB int
 	switch method {
 	case MxMDot:
-		if vb := b.bitmapView(); vb != nil {
-			// Bitmap B turns each dot's sorted merge into O(1) cell
-			// probes per A entry — and skips building the CSC cache.
-			nnzB = vb.nvals
-			z = mxmDotBitmap(ca, vb, d.TranB, s, mm, ar, bc, st)
-			kernel = "dot-bitmap"
-		} else {
-			cbT := orientedCSC(b, d.TranB)
-			nnzB = cbT.nvals()
-			z = mxmDot(ca, cbT, s, mm, ar, bc, st)
-			kernel = "dot"
-		}
+		cbT := orientedCSC(b, d.TranB)
+		nnzB = cbT.nvals()
+		z = mxmDot(ca, cbT, s, mm, ar, bc, st)
+		kernel = "dot"
 	case MxMHeap:
 		cb := orientedCSR(b, d.TranB)
 		nnzB = cb.nvals()
@@ -111,9 +82,8 @@ func MxM[A, B, T, M any](c *Matrix[T], mask *Matrix[M], accum BinaryOp[T, T, T],
 	if ob != nil && err == nil {
 		// The saxpy-family estimate pads each stored A row by one; the
 		// exact multiply count is the estimate minus that padding. Dot
-		// rows (compressed or bitmap) exit early on terminal monoids, so
-		// their actual work is unknowable without per-iteration counting
-		// — reported as 0.
+		// rows exit early on terminal monoids, so their actual work is
+		// unknowable without per-iteration counting — reported as 0.
 		var act int64
 		if method != MxMDot {
 			act = st.estFlops - int64(ca.nvecs())
@@ -299,91 +269,6 @@ func mxmDot[A, B, T any](ca *cs[A], cbT *cs[B], s Semiring[A, B, T], mm *maskMat
 					dot(j)
 				}
 			} else if mm != nil { // complemented mask: all j not admitted... i.e. admitted by comp view
-				allowed := mm.rowMask(row).cursor()
-				for j := 0; j < nc; j++ {
-					if allowed(j) {
-						dot(j)
-					}
-				}
-			} else {
-				for j := 0; j < nc; j++ {
-					dot(j)
-				}
-			}
-		}
-	})
-	return stitchByA(staging, ca, nr, nc)
-}
-
-// mxmDotBitmap is mxmDot with B held as a dense bitmap: each dot product
-// walks only A's row and probes Beff(k,j) in O(1) instead of merging two
-// sorted index lists — the win grows with B's fill (exactly when the
-// bitmap view exists). tranB selects the probe orientation: Beff(k,j) is
-// cell (k,j) of the bitmap untransposed and cell (j,k) transposed (the
-// L·Uᵀ orientation of triangle counting, whose probes are contiguous).
-// Probes ascend in k like sparseDot's merge, and the terminal early exit
-// is preserved, so results are bitwise identical to the compressed dot.
-func mxmDotBitmap[A, B, T any](ca *cs[A], vb *bm[B], tranB bool, s Semiring[A, B, T], mm *maskMat, nr, nc int, st *kernelStats) *cs[T] {
-	nvec := ca.nvecs()
-	staging := newRowSlices[T](nvec)
-	useMaskPattern := mm != nil && !mm.comp
-	flops := func(k int) int {
-		ai, _ := ca.vec(k)
-		if len(ai) == 0 {
-			return 1
-		}
-		outs := nc
-		if useMaskPattern {
-			mi, _ := mm.row(ca.majorOf(k))
-			outs = len(mi)
-		}
-		return 1 + outs*(len(ai)+1)
-	}
-	parallelWorkObs(nvec, mxmWorkQuantum, flops, st, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			ai, ax := ca.vec(k)
-			if len(ai) == 0 {
-				continue
-			}
-			row := ca.majorOf(k)
-			dot := func(j int) {
-				var acc T
-				found := false
-				for t := range ai {
-					var cell int
-					if tranB {
-						cell = j*vb.nc + ai[t]
-					} else {
-						cell = ai[t]*vb.nc + j
-					}
-					if !vb.b[cell] {
-						continue
-					}
-					p := s.Mul(ax[t], vb.x[cell])
-					if found {
-						acc = s.Add.Op(acc, p)
-					} else {
-						acc = p
-						found = true
-					}
-					if s.Add.Terminal != nil && s.Add.Terminal(acc) {
-						break
-					}
-				}
-				if found {
-					staging.idx[k] = append(staging.idx[k], j)
-					staging.val[k] = append(staging.val[k], acc)
-				}
-			}
-			if useMaskPattern {
-				mi, mv := mm.row(row)
-				for t, j := range mi {
-					if mv != nil && !mv[t] {
-						continue
-					}
-					dot(j)
-				}
-			} else if mm != nil {
 				allowed := mm.rowMask(row).cursor()
 				for j := 0; j < nc; j++ {
 					if allowed(j) {

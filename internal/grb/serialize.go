@@ -14,9 +14,7 @@ import (
 const serialVersion = 1
 
 // matrixWire is the serialized form of a Matrix. The payload is always the
-// canonical compressed-sparse arrays regardless of the matrix's runtime
-// format — a bitmap-formatted matrix serializes its CSR and rebuilds the
-// bitmap view lazily on the other side — so every format shares one wire
+// canonical compressed-sparse arrays, so every format shares one wire
 // layout. Format records the owner's format preference; gob omits zero
 // fields, so images written before the field existed decode as FormatAuto.
 type matrixWire[T any] struct {
@@ -52,6 +50,10 @@ func SerializeMatrix[T any](w io.Writer, a *Matrix[T]) error {
 	return gob.NewEncoder(w).Encode(img)
 }
 
+// legacyBitmapTag is the wire Format of the retired bitmap format. It
+// stored standard CSR like FormatCSR, so old images decode as FormatCSR.
+const legacyBitmapTag = 3
+
 // maxNilPointerRestore caps the pointer array synthesized for a wire image
 // that omitted P entirely. Every matrix the serializer produces carries a
 // non-empty pointer array, so a missing P with large declared dimensions is
@@ -75,8 +77,12 @@ func DeserializeMatrix[T any](r io.Reader) (*Matrix[T], error) {
 	if img.NRows < 0 || img.NCols < 0 || img.NRows+1 <= 0 {
 		return nil, opErrorf("deserialize", ErrCorrupt, "dims %d×%d", img.NRows, img.NCols)
 	}
-	if img.Format < int(FormatAuto) || img.Format > int(FormatBitmap) {
+	if img.Format < int(FormatAuto) || img.Format > legacyBitmapTag {
 		return nil, opErrorf("deserialize", ErrCorrupt, "unknown format %d", img.Format)
+	}
+	format := Format(img.Format)
+	if img.Format == legacyBitmapTag {
+		format = FormatCSR
 	}
 	// Reject shape lies before the importer sees the arrays: the declared
 	// dimensions must agree with the array lengths exactly.
@@ -84,12 +90,12 @@ func DeserializeMatrix[T any](r io.Reader) (*Matrix[T], error) {
 		return nil, opErrorf("deserialize", ErrCorrupt, "%d indices but %d values", len(img.I), len(img.X))
 	}
 	if img.Hyper {
-		// The serializer stores CSR- and bitmap-formatted matrices in
-		// standard layout (those formats force it), so a hyper payload
-		// claiming one is hostile — and restoring the claimed format would
-		// expand a tiny hyper image to a NRows+1 pointer array, letting
-		// 30 bytes of input demand an arbitrarily large allocation.
-		if f := Format(img.Format); f == FormatCSR || f == FormatBitmap {
+		// The serializer stores CSR-formatted matrices (and, formerly,
+		// bitmap-formatted ones) in standard layout, so a hyper payload
+		// claiming either is hostile — and restoring the claimed format
+		// would expand a tiny hyper image to a NRows+1 pointer array,
+		// letting 30 bytes of input demand an arbitrarily large allocation.
+		if format == FormatCSR {
 			return nil, opErrorf("deserialize", ErrCorrupt, "hyper payload with standard format %d", img.Format)
 		}
 		if img.P == nil && img.H == nil {
@@ -105,7 +111,7 @@ func DeserializeMatrix[T any](r io.Reader) (*Matrix[T], error) {
 		if err != nil {
 			return nil, opErrorf("deserialize", ErrCorrupt, "%v", err)
 		}
-		a.SetFormat(Format(img.Format))
+		a.SetFormat(format)
 		return a, nil
 	}
 	// gob omits empty slices; restore the pointer array shape, but never
@@ -129,7 +135,7 @@ func DeserializeMatrix[T any](r io.Reader) (*Matrix[T], error) {
 	if err != nil {
 		return nil, opErrorf("deserialize", ErrCorrupt, "%v", err)
 	}
-	a.SetFormat(Format(img.Format))
+	a.SetFormat(format)
 	return a, nil
 }
 

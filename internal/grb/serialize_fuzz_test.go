@@ -78,7 +78,7 @@ func FuzzDeserializeMatrix(f *testing.F) {
 	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: -1, NCols: 4, P: []int{0}}))
 	// Format-tagged seeds: one real serialization per storage format, so
 	// the fuzzer mutates from every format's wire shape.
-	for _, format := range []grb.Format{grb.FormatCSR, grb.FormatHyper, grb.FormatBitmap} {
+	for _, format := range []grb.Format{grb.FormatCSR, grb.FormatHyper} {
 		b := a.Dup()
 		b.SetFormat(format)
 		var buf bytes.Buffer
@@ -87,13 +87,15 @@ func FuzzDeserializeMatrix(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// Legacy tag 3 (the retired bitmap format) over a standard payload.
+	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 2, NCols: 2, Format: 3, P: []int{0, 1, 1}, I: []int{1}, X: []int64{4}}))
 	// Format outside the known enum.
 	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 2, NCols: 2, Format: 99, P: []int{0, 0, 0}}))
 	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 2, NCols: 2, Format: -1, P: []int{0, 0, 0}}))
 	// Hyper payload lying about a standard format: restoring the claimed
 	// format would expand to an NRows+1 pointer array.
 	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 1 << 50, NCols: 4, Format: int(grb.FormatCSR), Hyper: true, P: []int{0}, H: []int{}}))
-	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 1 << 50, NCols: 4, Format: int(grb.FormatBitmap), Hyper: true, P: []int{0}, H: []int{}}))
+	f.Add(gobBytes(f, hostileWire{Version: 1, NRows: 1 << 50, NCols: 4, Format: 3, Hyper: true, P: []int{0}, H: []int{}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := allocBytes()

@@ -2,6 +2,7 @@ package grb
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"math/rand"
 	"testing"
@@ -116,5 +117,45 @@ func TestDeserializeGarbage(t *testing.T) {
 	}
 	if err := SerializeMatrix[int](&bytes.Buffer{}, nil); !errors.Is(err, ErrUninitialized) {
 		t.Fatal("nil matrix")
+	}
+}
+
+// TestDeserializeLegacyBitmapTag pins that images written while the
+// bitmap format existed (wire Format 3, always a standard CSR payload)
+// still decode, as FormatCSR, and that a hyper payload carrying the tag
+// is still rejected.
+func TestDeserializeLegacyBitmapTag(t *testing.T) {
+	frame := func(img matrixWire[int64]) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(img); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	a, err := DeserializeMatrix[int64](frame(matrixWire[int64]{
+		Version: 1, NRows: 3, NCols: 4, Format: 3,
+		P: []int{0, 1, 2, 3}, I: []int{1, 3, 0}, X: []int64{7, -2, 5},
+	}))
+	if err != nil {
+		t.Fatalf("legacy tag 3 rejected: %v", err)
+	}
+	if a.format != FormatCSR {
+		t.Fatalf("legacy tag 3 decoded as format %d, want FormatCSR", a.format)
+	}
+	is, js, xs := a.ExtractTuples()
+	if len(is) != 3 || is[1] != 1 || js[1] != 3 || xs[1] != -2 {
+		t.Fatalf("legacy tag 3 decoded tuples %v %v %v", is, js, xs)
+	}
+	_, err = DeserializeMatrix[int64](frame(matrixWire[int64]{
+		Version: 1, NRows: 1 << 50, NCols: 4, Format: 3, Hyper: true, P: []int{0}, H: []int{},
+	}))
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("hyper payload tagged 3: err = %v, want ErrCorrupt", err)
+	}
+	_, err = DeserializeMatrix[int64](frame(matrixWire[int64]{
+		Version: 1, NRows: 2, NCols: 2, Format: 4, P: []int{0, 0, 0},
+	}))
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("tag 4: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -5,19 +5,18 @@ import (
 )
 
 // formatInvariantsCheck enforces the storage-format abstraction: with
-// multiple runtime formats (standard CSR, hypersparse, the dense bitmap
-// view) hanging off one Matrix, the raw storage fields csr/csc/bmp are
-// coherent only through the dispatch accessors — materializedCSR,
-// materializedCSC, bitmapView, cachedBitmap — which complete pending
-// work, take the cache mutexes, and honor the configured format. A direct
-// field read anywhere else sees whichever representation happened to be
-// cached last and silently breaks the formats-are-interchangeable
-// contract the conformance tests pin.
+// multiple runtime formats (standard CSR, hypersparse) and a column cache
+// hanging off one Matrix, the raw storage fields csr/csc are coherent only
+// through the dispatch accessors — materializedCSR, materializedCSC —
+// which complete pending work, take the cache mutex, and honor the
+// configured format. A direct field read anywhere else sees whichever
+// representation happened to be cached last and silently breaks the
+// formats-are-interchangeable contract the conformance tests pin.
 //
 // Unlike pending-tuples (positional, exported functions only), this check
 // is unconditional and covers every function: even after a Wait, raw
 // field access bypasses the format dispatch. Writes are exempt — cache
-// invalidation (a.bmp = nil) and storage replacement are how mutation
+// invalidation (a.csc = nil) and storage replacement are how mutation
 // sites participate in the protocol — as are the accessors and format
 // machinery themselves, listed in formatExempt.
 func formatInvariantsCheck() *Check {
@@ -35,7 +34,6 @@ func formatInvariantsCheck() *Check {
 var formatFields = map[string]bool{
 	"csr": true,
 	"csc": true,
-	"bmp": true,
 }
 
 // formatExempt lists the functions that ARE the format layer: accessors,
@@ -46,11 +44,6 @@ var formatExempt = map[string]bool{
 	"materializedCSR": true,
 	"materializedCSC": true,
 	"Materialize":     true,
-	"bitmapView":      true,
-	"bitmapWanted":    true,
-	"bitmapEligible":  true,
-	"bitmapPreferred": true,
-	"cachedBitmap":    true,
 	"orientedCSR":     true,
 	"orientedCSC":     true,
 	// Format management and assembly.
@@ -90,7 +83,7 @@ func runFormatInvariants(p *Package, r *Reporter) {
 					return true
 				}
 				r.Reportf(sel.Pos(),
-					"%s reads Matrix.%s directly; use the format-dispatch accessor (materializedCSR/materializedCSC/bitmapView/cachedBitmap)",
+					"%s reads Matrix.%s directly; use the format-dispatch accessor (materializedCSR/materializedCSC)",
 					fd.Name.Name, sel.Sel.Name)
 				return true
 			})

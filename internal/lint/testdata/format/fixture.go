@@ -11,17 +11,10 @@ type cs struct {
 
 func (c *cs) nvals() int { return c.p[len(c.p)-1] }
 
-// bm mimics the dense bitmap view.
-type bm struct {
-	b []bool
-	x []float64
-}
-
 // Matrix mimics the multi-format holder.
 type Matrix struct {
 	csr  *cs
 	csc  *cs
-	bmp  *bm
 	pend []int
 }
 
@@ -31,7 +24,6 @@ func (a *Matrix) Wait() {
 		a.csr = &cs{p: []int{0}}
 		a.pend = nil
 		a.csc = nil
-		a.bmp = nil
 	}
 }
 
@@ -41,25 +33,11 @@ func (a *Matrix) materializedCSR() *cs {
 	return a.csr
 }
 
-// cachedBitmap is the blessed bitmap probe (exempt).
-func (a *Matrix) cachedBitmap() *bm {
-	return a.bmp
-}
-
 // badDirectRead bypasses the accessor: even after Wait, a raw field read
 // skips the format dispatch.
 func (a *Matrix) badDirectRead() int {
 	a.Wait()
 	return a.csr.nvals() // WANT format-invariants
-}
-
-// BadBitmapPoke reads the bitmap cache without the guarded probe. The
-// site is also sanitized for pending-tuples by the Wait above it, so only
-// the format check fires.
-func (a *Matrix) BadBitmapPoke() bool {
-	a.Wait()
-	v := a.bmp // WANT format-invariants
-	return v != nil
 }
 
 // badColumnRead reads the column cache field directly.
@@ -77,7 +55,6 @@ func (a *Matrix) goodAccessor() int {
 func (a *Matrix) goodInvalidation(c *cs) {
 	a.csr = c
 	a.csc = nil
-	a.bmp = nil
 }
 
 // goodIgnored documents a deliberate bypass with a directive.

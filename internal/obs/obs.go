@@ -40,15 +40,14 @@ type OpRecord struct {
 	// Op is the entry point: "mxm", "vxm", "mxv", "wait".
 	Op string `json:"op"`
 	// Kernel is the compute strategy the op selected: "gustavson",
-	// "dot", "heap", "dot-bitmap" for mxm; "push", "pull", "bitmap" for
-	// vxm/mxv; "assemble" for Wait.
+	// "dot", "heap" for mxm; "push", "pull" for vxm/mxv; "assemble" for
+	// Wait.
 	Kernel string `json:"kernel,omitempty"`
 	// Policy records how Kernel was chosen when the op had a choice:
-	// "forced" (the caller pinned a method through the descriptor),
-	// "static" (the built-in heuristic decided), or "tuned" (the
-	// observation-fed tuner overrode the heuristic from measured history).
-	// Empty for ops with no method choice. BENCH_2's selection audit and
-	// the policy conformance tests read this field.
+	// "forced" (the caller pinned a method through the descriptor) or
+	// "static" (the built-in heuristic decided). Empty for ops with no
+	// method choice. BENCH_2's selection audit and the policy conformance
+	// tests read this field.
 	Policy string `json:"policy,omitempty"`
 	// Rows and Cols are the output dimensions.
 	Rows int `json:"rows,omitempty"`

@@ -27,7 +27,7 @@ type Counters struct {
 	Heap      atomic.Int64
 	Push      atomic.Int64
 	Pull      atomic.Int64
-	Bitmap    atomic.Int64 // bitmap-format kernels: "bitmap" vxm, "dot-bitmap" mxm
+	Bitmap    atomic.Int64 // always 0: no kernel reports it; kept for the benchmark's grb.ops.bitmap key
 }
 
 // Now implements Observer via the package clock.
@@ -50,8 +50,6 @@ func (c *Counters) Op(r OpRecord) {
 		c.Push.Add(1)
 	case "pull":
 		c.Pull.Add(1)
-	case "bitmap", "dot-bitmap":
-		c.Bitmap.Add(1)
 	case "assemble":
 		c.Waits.Add(1)
 		c.Pending.Add(int64(r.Pending))
@@ -78,7 +76,7 @@ type CounterSnapshot struct {
 	Heap      int64 `json:"heap,omitempty"`
 	Push      int64 `json:"push,omitempty"`
 	Pull      int64 `json:"pull,omitempty"`
-	Bitmap    int64 `json:"bitmap,omitempty"`
+	Bitmap    int64 `json:"bitmap,omitempty"` // always 0; see Counters.Bitmap
 }
 
 // Snapshot reads every counter.
@@ -122,9 +120,9 @@ func (s CounterSnapshot) Sub(prev CounterSnapshot) CounterSnapshot {
 }
 
 // Multi fans every record out to several observers in order — the way to
-// run a Trace (or Counters) alongside the kernel tuner, which is itself an
-// Observer. Now comes from the first observer so durations stay on a
-// single clock; an empty Multi falls back to the package clock.
+// run a Trace alongside Counters. Now comes from the first observer so
+// durations stay on a single clock; an empty Multi falls back to the
+// package clock.
 type Multi struct {
 	Obs []Observer
 }

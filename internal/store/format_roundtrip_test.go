@@ -1,9 +1,9 @@
 package store
 
 // The store's LGSNAP frames are format-transparent: a graph whose
-// adjacency is held in any storage format (standard CSR, hypersparse,
-// bitmap) snapshots to the same checksummed envelope structure, survives
-// a save/load cycle byte-for-byte, and restores with both its entries and
+// adjacency is held in any storage format (standard CSR, hypersparse)
+// snapshots to the same checksummed envelope structure, survives a
+// save/load cycle byte-for-byte, and restores with both its entries and
 // its format preference intact (re-serializing the restored graph is a
 // fixed point).
 
@@ -28,7 +28,6 @@ func TestStoreRoundTripAllFormats(t *testing.T) {
 	}{
 		{"csr", grb.FormatCSR},
 		{"hyper", grb.FormatHyper},
-		{"bitmap", grb.FormatBitmap},
 	} {
 		t.Run(fc.name, func(t *testing.T) {
 			a := base.A.Dup()
