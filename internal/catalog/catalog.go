@@ -1,32 +1,35 @@
 // Package catalog is the resident-graph registry of the service layer: a
 // named collection of lagraph.Graph objects, each wrapped in an Entry
-// that guards the graph's lazily computed cached properties (transpose
-// and column-oriented storage for pull kernels, degree vectors, pattern,
-// structural flags) behind a reader/writer locking protocol, so that many
-// concurrent queries can share one graph while ingestion mutates it.
+// that guards the graph behind a reader/writer locking protocol, so that
+// many concurrent queries can share one graph while ingestion mutates it.
 //
 // # Locking protocol
 //
 // The underlying grb substrate promises that read-only operations on a
-// fully materialized object are safe from any number of goroutines, but
+// fully assembled object are safe from any number of goroutines, but
 // three kinds of lazy state make a "read" secretly a write:
 //
 //  1. pending tuples and zombies (the non-blocking execution model):
 //     assembled by the next whole-object operation or Wait;
 //  2. the column-oriented (CSC) cache built on first use by pull/dot
-//     kernels (internally mutex-guarded, but built lazily);
-//  3. the Graph property cache (AT, degrees, pattern, self-loop count),
-//     computed on first use by whichever algorithm needs it.
+//     kernels (built lazily under the matrix's own mutex);
+//  3. the Graph property cache (AT, degrees, pattern, self-loop count,
+//     symmetry), computed on first use by whichever query needs it
+//     (under the graph's own mutex).
 //
-// An Entry therefore distinguishes a warmed graph — every lazy structure
-// materialized, safe for unlimited concurrent readers — from a cold one.
-// Readers enter through View, which warms the entry under the exclusive
-// lock if needed and then runs the caller with the read lock held.
-// Writers enter through Update, which holds the exclusive lock, and on
-// exit invalidates the property cache, assembles all pending work (the
-// "Wait before publish" rule: a reader must never observe pending
-// tuples), bumps the generation counter, and marks the entry cold so the
-// next reader re-warms it.
+// Only the first needs the entry's exclusive lock: the other two are
+// guarded where they live, so concurrent readers may build them. Readers
+// enter through View, which assembles the adjacency under the exclusive
+// lock when it has pending work (Matrix.Materialize: pending tuples,
+// zombies, then the CSC cache) and then runs the caller with the read
+// lock held. Each derived property is built on demand, on its own, and
+// kept until the next mutation, as in LAGraph v1's cached-property
+// model, so a query pays only for the properties it touches. Writers
+// enter through Update or Ingest, which hold the exclusive lock and
+// invalidate the property cache and bump the generation counter. Update
+// also assembles pending work before it publishes ("Wait before
+// publish"); Ingest leaves its batch pending for the next reader to
+// assemble, so a reader never observes pending tuples either way.
 package catalog
 
 import (
@@ -58,7 +61,10 @@ type Stats struct {
 	Views   int64 `json:"views"`   // read-locked query executions
 	Updates int64 `json:"updates"` // write-locked mutations
 	Ingests int64 `json:"ingests"` // streaming edge-batch mutations
-	Warms   int64 `json:"warms"`   // cold→warm property materializations
+	// Warms counts the assemblies View ran under the exclusive lock: one
+	// per read that found pending tuples or zombies (the JSON name and
+	// the lagraphd_catalog_warms_total metric keep the old name).
+	Warms int64 `json:"warms"`
 }
 
 // Catalog is a concurrency-safe name → Entry registry.

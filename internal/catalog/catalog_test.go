@@ -63,9 +63,9 @@ func TestWarmLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := e.Properties() // warms
+	p := e.Properties()
 	if !p.Warm {
-		t.Fatal("entry not warm after Properties")
+		t.Fatal("adjacency not assembled after Properties")
 	}
 	if p.Generation != 0 {
 		t.Fatalf("fresh generation = %d, want 0", p.Generation)
@@ -73,8 +73,10 @@ func TestWarmLifecycle(t *testing.T) {
 	if !p.Symmetric {
 		t.Fatal("undirected generated graph should be symmetric")
 	}
-	if c.Stats().Warms != 1 {
-		t.Fatalf("Warms = %d, want 1", c.Stats().Warms)
+	// The generated graph arrives assembled: no read needed the
+	// exclusive lock.
+	if c.Stats().Warms != 0 {
+		t.Fatalf("Warms = %d, want 0", c.Stats().Warms)
 	}
 
 	// A mutation invalidates and bumps the generation.
@@ -92,15 +94,34 @@ func TestWarmLifecycle(t *testing.T) {
 	if e.Generation() != 1 {
 		t.Fatalf("generation after Update = %d, want 1", e.Generation())
 	}
-	p = e.Properties() // re-warms
+	p = e.Properties()
 	if !p.Warm || p.Generation != 1 {
 		t.Fatalf("after update: warm=%v gen=%d", p.Warm, p.Generation)
 	}
 	if p.NEdges < before {
 		t.Fatalf("NEdges shrank: %d → %d", before, p.NEdges)
 	}
-	if c.Stats().Warms != 2 {
-		t.Fatalf("Warms = %d, want 2", c.Stats().Warms)
+	// Update assembles before it publishes, so the read after it runs no
+	// assembly either.
+	if c.Stats().Warms != 0 {
+		t.Fatalf("Warms after Update = %d, want 0", c.Stats().Warms)
+	}
+
+	// An Ingest leaves its batch pending: the next read assembles it once,
+	// under the exclusive lock, and later reads share the result.
+	err = e.Ingest(func(g *lagraph.Graph) (bool, error) {
+		return true, g.A.SetElements([]int{1, 10}, []int{10, 1}, []float64{1, 1}, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		if p = e.Properties(); !p.Warm || p.Generation != 2 || !p.Symmetric {
+			t.Fatalf("after ingest: warm=%v gen=%d symmetric=%v", p.Warm, p.Generation, p.Symmetric)
+		}
+	}
+	if c.Stats().Warms != 1 {
+		t.Fatalf("Warms after Ingest and two reads = %d, want 1", c.Stats().Warms)
 	}
 }
 
@@ -138,7 +159,7 @@ func TestCanceledQueryLeavesCacheIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bfsChecksum(t, e) // clean baseline, warms the entry
+	want := bfsChecksum(t, e) // clean baseline
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already done: the first iteration check must fire
@@ -158,6 +179,9 @@ func TestCanceledQueryLeavesCacheIntact(t *testing.T) {
 	}
 	if p := e.Properties(); !p.Warm || p.Generation != 0 {
 		t.Fatalf("cancellation must not invalidate: warm=%v gen=%d", p.Warm, p.Generation)
+	}
+	if got := c.Stats().Warms; got != 0 {
+		t.Fatalf("cancellation caused %d assemblies, want 0", got)
 	}
 }
 
@@ -224,8 +248,8 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	var wg sync.WaitGroup
 	errc := make(chan error, readers+1)
 
-	// Writer: mutate + invalidate, with pauses so readers see both warm
-	// hits and cold re-warms across generations.
+	// Writer: mutate + invalidate, with pauses so readers see both cache
+	// hits and rebuilds across generations.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

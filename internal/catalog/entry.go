@@ -34,9 +34,11 @@ func (r Role) String() string {
 	}
 }
 
-// Properties is the cached, cheaply observable state of an entry: the
-// structural facts algorithms and operators keep asking for, computed
-// once per generation at warm time instead of per query.
+// Properties is the cheaply observable state of an entry: the structural
+// facts operators keep asking for. The self-loop count and the symmetry
+// flag come from the graph's property cache, so they are computed on the
+// first Properties call after a mutation and served from the cache until
+// the next one.
 type Properties struct {
 	Name       string `json:"name"`
 	Directed   bool   `json:"directed"`
@@ -44,14 +46,15 @@ type Properties struct {
 	NEdges     int    `json:"nedges"`
 	NSelfLoops int    `json:"nself_loops"`
 	Empty      bool   `json:"empty"`
-	// Symmetric reports structural+numerical symmetry of the adjacency;
-	// computed at warm time (one transpose + compare), then served from
-	// the cache until the next mutation.
+	// Symmetric reports structural+numerical symmetry of the adjacency
+	// (one transpose + compare on first use per generation).
 	Symmetric bool `json:"symmetric"`
 	// Generation counts mutations: it bumps on every Update, so clients
 	// can detect that cached derived data went stale.
 	Generation uint64 `json:"generation"`
-	// Warm reports whether the lazy caches are currently materialized.
+	// Warm reports that the adjacency is assembled: no pending tuples or
+	// zombies. Properties assembles before it reads, so a returned value
+	// always has Warm set; the field keeps its pre-existing JSON name.
 	Warm bool `json:"warm"`
 	// Role is the entry's cluster placement role ("primary" | "replica";
 	// empty on a single-node daemon, keeping pre-cluster responses
@@ -69,9 +72,8 @@ type Entry struct {
 	name string
 	cat  *Catalog
 
-	mu   sync.RWMutex
-	g    *lagraph.Graph //grblint:guardedby mu
-	warm bool           //grblint:guardedby mu
+	mu sync.RWMutex
+	g  *lagraph.Graph //grblint:guardedby mu
 	// gen is atomic (not guarded by mu) so Generation can be read from
 	// inside a View callback — a nested RLock would deadlock against a
 	// queued writer. Writes still happen only under the exclusive lock.
@@ -93,12 +95,6 @@ type Entry struct {
 	// replication-lag LSN is srcHead - jseq, clamped at zero.
 	srcHead atomic.Uint64
 
-	// warm-time flags (valid while warm is true, kept until next Update
-	// so Properties of a cold entry can still report the last-known
-	// values alongside Warm=false).
-	symmetric bool //grblint:guardedby mu
-	selfLoops int  //grblint:guardedby mu
-
 	// staged carries one Ingest callback's declared delta to the
 	// post-bump commit (see results.go).
 	staged *stagedDelta //grblint:guardedby mu
@@ -116,25 +112,27 @@ type Entry struct {
 // Name returns the registered name.
 func (e *Entry) Name() string { return e.name }
 
-// View runs fn with the entry's read lock held and every lazy structure
-// of the graph materialized: fn may run any read-only algorithm (and the
-// lazy property getters AT/OutDegree/InDegree/PatternInt64, which are
-// all warm cache hits) concurrently with other View calls. fn must not
-// mutate the graph; mutations go through Update.
+// View runs fn with the entry's read lock held and the adjacency
+// assembled (no pending tuples or zombies): fn may run any read-only
+// algorithm concurrently with other View calls. The graph's property
+// getters (AT, degrees, pattern, self-loops, symmetry) build a missing
+// property on first use under the graph's own mutex, so a query pays only
+// for the properties it touches. fn must not mutate the graph; mutations
+// go through Update or Ingest.
 //
 //grblint:holdslock mu read
 func (e *Entry) View(fn func(g *lagraph.Graph) error) error {
 	for {
 		e.mu.RLock()
-		if e.warm {
+		if e.assembled() {
 			defer e.mu.RUnlock()
 			e.cat.views.Add(1)
 			return fn(e.g)
 		}
 		e.mu.RUnlock()
-		e.warmNow()
-		// Loop: a writer may have slipped in between warmNow's unlock and
-		// our RLock; re-check warm under the read lock.
+		e.assemble()
+		// Loop: a writer may have slipped in between assemble's unlock and
+		// our RLock; re-check under the read lock.
 	}
 }
 
@@ -155,7 +153,6 @@ func (e *Entry) Update(fn func(g *lagraph.Graph) error) error {
 	// Even a failed update may have mutated: always invalidate + publish.
 	e.g.InvalidateCache()
 	e.g.A.Wait()
-	e.warm = false
 	e.gen.Add(1)
 	e.cat.updates.Add(1)
 	// An Update is an untracked mutation: cached results stay (stale),
@@ -168,16 +165,16 @@ func (e *Entry) Update(fn func(g *lagraph.Graph) error) error {
 // write path. It differs from Update in one deliberate way: pending
 // tuples are NOT assembled before publish. fn is expected to land edge
 // batches as pending tuples (grb SetElements / RemoveElement), and
-// assembly is deferred to the next reader's warm — that deferral is what
-// makes per-batch ingest latency independent of graph size (paper §II-A:
-// e buffered insertions assemble once in O(e log e), not e times). The
-// "Wait before publish" rule is preserved in spirit because the entry is
-// published COLD: the next View warms (and therefore assembles) under
-// the exclusive lock before any reader touches the graph.
+// assembly is deferred to the next reader — that deferral is what makes
+// per-batch ingest latency independent of graph size (paper §II-A: e
+// buffered insertions assemble once in O(e log e), not e times). The
+// "Wait before publish" rule is preserved in spirit: the next View sees
+// the pending tuples and assembles them under the exclusive lock before
+// any reader touches the graph.
 //
 // fn reports whether it mutated the graph. Cache invalidation and the
 // generation bump happen only when it did — a batch rejected whole by
-// validation leaves the entry warm and its generation unchanged.
+// validation leaves the property cache and the generation unchanged.
 //
 //grblint:holdslock mu
 func (e *Entry) Ingest(fn func(g *lagraph.Graph) (mutated bool, err error)) error {
@@ -208,7 +205,6 @@ func (e *Entry) ingest(fn func(g *lagraph.Graph) (mutated bool, err error)) erro
 	e.staged = nil
 	if mutated {
 		e.g.InvalidateCache()
-		e.warm = false
 		e.gen.Add(1)
 		e.cat.ingests.Add(1)
 		// A cleanly applied batch the callback declared via StageDelta
@@ -275,9 +271,10 @@ func (e *Entry) FenceJournalSeq(lsn uint64) {
 	e.jseq.CompareAndSwap(0, lsn)
 }
 
-// Properties returns the entry's cached structural facts. On a warm entry
-// this is lock-shared and touches no lazy state; on a cold entry it warms
-// first (the service's info endpoint doubles as a prefetch).
+// Properties returns the entry's structural facts under the shared lock.
+// The self-loop count and symmetry flag are read through the graph's
+// cached getters: the first call after a mutation computes them, later
+// calls are cache hits. Queries never pay for them.
 func (e *Entry) Properties() Properties {
 	var p Properties
 	_ = e.View(func(g *lagraph.Graph) error {
@@ -286,11 +283,11 @@ func (e *Entry) Properties() Properties {
 			Directed:   g.Kind == lagraph.Directed,
 			N:          g.N(),
 			NEdges:     g.NEdges(),
-			NSelfLoops: e.selfLoops,
+			NSelfLoops: g.NSelfLoops(),
 			Empty:      g.NEdges() == 0,
-			Symmetric:  e.symmetric,
+			Symmetric:  g.CachedIsSymmetric(),
 			Generation: e.gen.Load(),
-			Warm:       e.warm,
+			Warm:       e.assembled(),
 			Role:       e.Role().String(),
 			ReplicaLag: e.ReplicaLag(),
 		}
@@ -341,8 +338,8 @@ type SnapshotInfo struct {
 // Snapshot serializes the graph to w under the shared read lock at a
 // pinned generation: concurrent View queries keep running while the
 // bytes stream out, and no Update can interleave (writers queue on the
-// exclusive lock). Because View warms the entry first, the adjacency has
-// no pending tuples and serialization is a pure read — two snapshots of
+// exclusive lock). Because View assembles the adjacency first, it has no
+// pending tuples and serialization is a pure read — two snapshots of
 // the same generation are bitwise identical.
 func (e *Entry) Snapshot(w io.Writer) (SnapshotInfo, error) {
 	var info SnapshotInfo
@@ -359,31 +356,25 @@ func (e *Entry) Snapshot(w io.Writer) (SnapshotInfo, error) {
 	return info, err
 }
 
-// warmNow materializes every lazy structure under the exclusive lock.
-func (e *Entry) warmNow() {
+// assembled reports whether the adjacency has no pending tuples or
+// zombies, i.e. whether readers may share it as it is.
+//
+//grblint:locked mu
+func (e *Entry) assembled() bool {
+	tuples, zombies := e.g.A.Pending()
+	return tuples == 0 && zombies == 0
+}
+
+// assemble completes the adjacency's pending work under the exclusive
+// lock: pending tuples and zombies, then the column-oriented cache the
+// pull and dot kernels want (Matrix.Materialize). Derived properties are
+// left to their getters.
+func (e *Entry) assemble() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.warm {
-		return // another reader warmed while we waited
+	if e.assembled() {
+		return // another reader assembled while we waited
 	}
-	g := e.g
-	// 1. Pending-tuple model: assemble buffered updates first, then build
-	// the column-oriented cache pull/dot kernels will want.
-	g.A.Materialize()
-	// 2. Graph property cache: transpose (directed only — undirected AT
-	// aliases A), degree vectors, int64 pattern, self-loop count. Each
-	// getter caches into g; materialize their own lazy state too so a
-	// reader's access is a pure load.
-	at := g.AT()
-	if at != g.A {
-		at.Materialize()
-	}
-	g.OutDegree().Wait()
-	g.InDegree().Wait()
-	g.PatternInt64().Materialize()
-	e.selfLoops = g.NSelfLoops()
-	// 3. Structural flags computed once per generation.
-	e.symmetric = g.NEdges() == 0 || g.IsSymmetric()
-	e.warm = true
+	e.g.A.Materialize()
 	e.cat.warms.Add(1)
 }

@@ -28,9 +28,12 @@ func ingestGraph(t *testing.T, n int) (*Catalog, *Entry) {
 
 func TestIngestDefersAssembly(t *testing.T) {
 	c, e := ingestGraph(t, 10)
-	// Warm first so we can observe the cold transition.
+	// Read first so the property cache is populated before the batch.
 	if _, err := e.Properties(), error(nil); err != nil {
 		t.Fatal(err)
+	}
+	if got := c.Stats().Warms; got != 0 {
+		t.Fatalf("assemblies before any ingest = %d, want 0", got)
 	}
 	gen := e.Generation()
 	err := e.Ingest(func(g *lagraph.Graph) (bool, error) {
@@ -53,18 +56,25 @@ func TestIngestDefersAssembly(t *testing.T) {
 	// assembled them (that is the flat-latency property).
 	e.mu.RLock()
 	pend, _ := e.g.A.Pending()
-	warm := e.warm
+	assembled := e.assembled()
 	e.mu.RUnlock()
 	if pend != 2 {
 		t.Fatalf("pending tuples after Ingest = %d, want 2 (assembly must be deferred)", pend)
 	}
-	if warm {
-		t.Fatal("entry still warm after a mutating Ingest")
+	if assembled {
+		t.Fatal("entry reports assembled with a batch pending")
 	}
-	// The next read warms, assembles, and sees the new edges.
+	if got := c.Stats().Warms; got != 0 {
+		t.Fatalf("Ingest ran %d assemblies, want 0", got)
+	}
+	// The next read assembles once and sees the new edges.
 	p := e.Properties()
 	if p.NEdges != 2 || !p.Warm {
-		t.Fatalf("after re-warm: %+v", p)
+		t.Fatalf("after assembly: %+v", p)
+	}
+	e.Properties()
+	if got := c.Stats().Warms; got != 1 {
+		t.Fatalf("assemblies for two reads after one Ingest = %d, want 1", got)
 	}
 	if got := c.Stats().Ingests; got != 1 {
 		t.Fatalf("ingest counter = %d, want 1", got)
@@ -73,7 +83,7 @@ func TestIngestDefersAssembly(t *testing.T) {
 
 func TestIngestRejectedBatchLeavesEntryUntouched(t *testing.T) {
 	c, e := ingestGraph(t, 4)
-	p0 := e.Properties() // warms
+	p0 := e.Properties()
 	gen := e.Generation()
 	wantErr := errors.New("batch rejected")
 	err := e.Ingest(func(g *lagraph.Graph) (bool, error) {
@@ -86,13 +96,16 @@ func TestIngestRejectedBatchLeavesEntryUntouched(t *testing.T) {
 		t.Fatal("rejected batch bumped the generation")
 	}
 	e.mu.RLock()
-	warm := e.warm
+	assembled := e.assembled()
 	e.mu.RUnlock()
-	if !warm {
-		t.Fatal("rejected batch marked the entry cold")
+	if !assembled {
+		t.Fatal("rejected batch left pending work")
 	}
 	if p := e.Properties(); p.NEdges != p0.NEdges {
 		t.Fatalf("rejected batch changed the graph: %+v", p)
+	}
+	if got := c.Stats().Warms; got != 0 {
+		t.Fatalf("rejected batch caused %d assemblies, want 0", got)
 	}
 	if got := c.Stats().Ingests; got != 0 {
 		t.Fatalf("ingest counter = %d, want 0", got)
@@ -120,7 +133,7 @@ func TestSnapshotPinsJournalSeq(t *testing.T) {
 		t.Fatalf("snapshot pinned journal %d, want 7", info.Journal)
 	}
 	if info.NEdges != 1 {
-		t.Fatalf("snapshot NEdges = %d, want 1 (pending batch must be assembled by the warm)", info.NEdges)
+		t.Fatalf("snapshot NEdges = %d, want 1 (pending batch must be assembled by the read)", info.NEdges)
 	}
 }
 

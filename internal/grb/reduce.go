@@ -53,6 +53,33 @@ func ReduceMatrixToVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryO
 	return writeVectorResult(w, mask, accum, zi, zx, d)
 }
 
+// EntryCounts returns the number of stored entries in each row of A (each
+// column with TranA) as an int64 vector with no entry for an empty row:
+// the vector ReduceMatrixToVector computes with the plus monoid over A's
+// pattern, read in O(n) off the assembled pointer array instead of
+// through an O(nvals) pattern copy.
+func EntryCounts[T any](a *Matrix[T], desc *Descriptor) (*Vector[int64], error) {
+	if a == nil {
+		return nil, opError("entryCounts", ErrUninitialized)
+	}
+	d := desc.get()
+	n := a.nr
+	if d.TranA {
+		n = a.nc
+	}
+	ca := orientedCSR(a, d.TranA)
+	nvec := ca.nvecs()
+	idx := make([]int, 0, nvec)
+	x := make([]int64, 0, nvec)
+	for k := 0; k < nvec; k++ {
+		if c := ca.p[k+1] - ca.p[k]; c > 0 {
+			idx = append(idx, ca.majorOf(k))
+			x = append(x, int64(c))
+		}
+	}
+	return &Vector[int64]{n: n, idx: idx, x: x}, nil
+}
+
 // ReduceMatrixToScalar reduces every stored entry of A with the monoid,
 // starting from its identity.
 func ReduceMatrixToScalar[T any](mon Monoid[T], a *Matrix[T]) (T, error) {

@@ -11,9 +11,11 @@ package lagraph
 
 import (
 	"errors"
+	"sync"
 
 	"lagraph/internal/gen"
 	"lagraph/internal/grb"
+	"lagraph/internal/obs"
 )
 
 // Kind distinguishes directed adjacency from undirected (symmetric)
@@ -40,31 +42,45 @@ var (
 )
 
 // Graph bundles a GraphBLAS adjacency matrix with cached derived
-// properties, in the style of the LAGraph_Graph object: the cache is
-// computed on demand and reused by the algorithms.
+// properties, in the style of the LAGraph_Graph object: each property is
+// computed on demand, on its own, and reused by the algorithms until the
+// next InvalidateCache.
+//
+// The property getters are safe to call from concurrent readers once A
+// has no pending work: the first caller builds a property under mu and
+// every later caller gets the cached object. A is never written by a
+// getter; assembling its pending tuples is the owner's job (the catalog
+// does it under its exclusive lock).
 type Graph struct {
 	// A is the (weighted) adjacency matrix; A(i,j) is the weight of edge
 	// i→j.
 	A    *grb.Matrix[float64]
 	Kind Kind
 
-	at        *grb.Matrix[float64]
-	pattern   *grb.Matrix[int64]
-	outDeg    *grb.Vector[int64]
-	inDeg     *grb.Vector[int64]
-	nselfLoop int
-	selfOK    bool
+	mu        sync.Mutex
+	at        *grb.Matrix[float64] //grblint:guardedby mu
+	pattern   *grb.Matrix[int64]   //grblint:guardedby mu
+	outDeg    *grb.Vector[int64]   //grblint:guardedby mu
+	inDeg     *grb.Vector[int64]   //grblint:guardedby mu
+	nselfLoop int                  //grblint:guardedby mu
+	selfOK    bool                 //grblint:guardedby mu
+	symmetric bool                 //grblint:guardedby mu
+	symOK     bool                 //grblint:guardedby mu
 }
 
 // InvalidateCache drops the cached derived properties (transpose,
-// pattern, degrees). Call it after mutating A directly; the algorithms
-// otherwise treat the adjacency as immutable, as LAGraph does.
+// pattern, degrees, self-loop count, symmetry). Call it after mutating A
+// directly; the algorithms otherwise treat the adjacency as immutable, as
+// LAGraph does.
 func (g *Graph) InvalidateCache() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.at = nil
 	g.pattern = nil
 	g.outDeg = nil
 	g.inDeg = nil
 	g.selfOK = false
+	g.symOK = false
 }
 
 // NewGraph wraps an adjacency matrix. The matrix is adopted, not copied.
@@ -93,61 +109,88 @@ func (g *Graph) N() int { return g.A.Nrows() }
 // NEdges returns the number of stored adjacency entries.
 func (g *Graph) NEdges() int { return g.A.Nvals() }
 
+// observeBuild reports one property build to the process-wide observer
+// as a "property" op record, so traces and obs.Counters show which
+// properties a query paid for. Call the returned func when the build is
+// done.
+func (g *Graph) observeBuild(property string) func() {
+	ob := obs.Active()
+	if ob == nil {
+		return func() {}
+	}
+	t0 := ob.Now()
+	return func() {
+		ob.Op(obs.OpRecord{
+			Op: "property", Kernel: property,
+			Rows: g.A.Nrows(), Cols: g.A.Ncols(), NnzA: g.A.Nvals(),
+			DurNanos: ob.Now() - t0,
+		})
+	}
+}
+
 // AT returns the cached transpose of the adjacency matrix, computing it on
 // first use. For undirected graphs it is A itself.
 func (g *Graph) AT() *grb.Matrix[float64] {
 	if g.Kind == Undirected {
 		return g.A
 	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.at == nil {
+		defer g.observeBuild("transpose")()
 		at := grb.MustMatrix[float64](g.A.Ncols(), g.A.Nrows())
 		if err := grb.Transpose[float64, bool](at, nil, nil, g.A, nil); err != nil {
 			panic(err)
 		}
+		at.Wait()
 		g.at = at
 	}
 	return g.at
 }
 
 // OutDegree returns the cached out-degree vector (number of stored entries
-// per row).
+// per row; no entry for a row with none).
 func (g *Graph) OutDegree() *grb.Vector[int64] {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.outDeg == nil {
-		deg := grb.MustVector[int64](g.N())
-		ones := grb.MustMatrix[int64](g.A.Nrows(), g.A.Ncols())
-		if err := grb.ApplyMatrix[float64, int64, bool](ones, nil, nil, grb.One[float64, int64](), g.A, nil); err != nil {
-			panic(err)
-		}
-		if err := grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), ones, nil); err != nil {
-			panic(err)
-		}
-		g.outDeg = deg
+		defer g.observeBuild("out-degree")()
+		g.outDeg = g.entryCounts(nil)
 	}
 	return g.outDeg
 }
 
-// InDegree returns the cached in-degree vector.
+// InDegree returns the cached in-degree vector (number of stored entries
+// per column).
 func (g *Graph) InDegree() *grb.Vector[int64] {
 	if g.Kind == Undirected {
 		return g.OutDegree()
 	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.inDeg == nil {
-		deg := grb.MustVector[int64](g.N())
-		ones := grb.MustMatrix[int64](g.A.Nrows(), g.A.Ncols())
-		if err := grb.ApplyMatrix[float64, int64, bool](ones, nil, nil, grb.One[float64, int64](), g.A, nil); err != nil {
-			panic(err)
-		}
-		if err := grb.ReduceMatrixToVector[int64, bool](deg, nil, nil, grb.PlusMonoid[int64](), ones, grb.DescT0); err != nil {
-			panic(err)
-		}
-		g.inDeg = deg
+		defer g.observeBuild("in-degree")()
+		g.inDeg = g.entryCounts(grb.DescT0)
 	}
 	return g.inDeg
 }
 
+// entryCounts counts the stored entries of each row (each column with
+// DescT0) of A.
+func (g *Graph) entryCounts(desc *grb.Descriptor) *grb.Vector[int64] {
+	deg, err := grb.EntryCounts(g.A, desc)
+	if err != nil {
+		panic(err)
+	}
+	return deg
+}
+
 // NSelfLoops counts diagonal entries (cached).
 func (g *Graph) NSelfLoops() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if !g.selfOK {
+		defer g.observeBuild("self-loops")()
 		d := grb.MustMatrix[float64](g.A.Nrows(), g.A.Ncols())
 		if err := grb.SelectMatrix[float64, bool](d, nil, nil, grb.Diag[float64](0), g.A, nil); err != nil {
 			panic(err)
@@ -158,7 +201,21 @@ func (g *Graph) NSelfLoops() int {
 	return g.nselfLoop
 }
 
+// CachedIsSymmetric is IsSymmetric computed once and cached until the
+// next InvalidateCache.
+func (g *Graph) CachedIsSymmetric() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.symOK {
+		defer g.observeBuild("symmetry")()
+		g.symmetric = g.IsSymmetric()
+		g.symOK = true
+	}
+	return g.symmetric
+}
+
 // IsSymmetric checks structural and numerical symmetry of the adjacency.
+// It computes the answer afresh on every call; CachedIsSymmetric keeps it.
 func (g *Graph) IsSymmetric() bool {
 	at := grb.MustMatrix[float64](g.A.Ncols(), g.A.Nrows())
 	if err := grb.Transpose[float64, bool](at, nil, nil, g.A, nil); err != nil {
@@ -255,7 +312,10 @@ func DegreeHistogram(g *Graph) []int {
 // 1 (int64), the form several §V algorithms start from. The result is
 // cached; callers must not mutate it.
 func (g *Graph) PatternInt64() *grb.Matrix[int64] {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.pattern == nil {
+		defer g.observeBuild("pattern")()
 		p := grb.MustMatrix[int64](g.A.Nrows(), g.A.Ncols())
 		if err := grb.ApplyMatrix[float64, int64, bool](p, nil, nil, grb.One[float64, int64](), g.A, nil); err != nil {
 			panic(err)

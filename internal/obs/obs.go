@@ -34,14 +34,17 @@ import (
 	"time"
 )
 
-// OpRecord describes one kernel-level GraphBLAS operation. Integer fields
-// that a given op does not populate are zero and omitted from JSON.
+// OpRecord describes one kernel-level GraphBLAS operation, or one build
+// of a cached graph property. Integer fields that a given op does not
+// populate are zero and omitted from JSON.
 type OpRecord struct {
-	// Op is the entry point: "mxm", "vxm", "mxv", "wait".
+	// Op is the entry point: "mxm", "vxm", "mxv", "wait", or "property"
+	// for a lagraph.Graph property build.
 	Op string `json:"op"`
 	// Kernel is the compute strategy the op selected: "gustavson",
 	// "dot", "heap" for mxm; "push", "pull" for vxm/mxv; "assemble" for
-	// Wait.
+	// Wait. For "property" it names the property: "transpose",
+	// "out-degree", "in-degree", "pattern", "self-loops", "symmetry".
 	Kernel string `json:"kernel,omitempty"`
 	// Policy records how Kernel was chosen when the op had a choice:
 	// "forced" (the caller pinned a method through the descriptor) or

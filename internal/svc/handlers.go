@@ -335,7 +335,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, resp)
 }
 
-// handleInfo reports one graph's cached properties (warming it if cold).
+// handleInfo reports one graph's properties (assembling pending edges and
+// computing the self-loop count and symmetry flag on first use).
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) int {
 	name := r.PathValue("name")
 	e, err := s.cat.Get(name)
@@ -572,7 +573,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 	p("lagraphd_catalog_views_total %d\n", cat.Views)
 	p("# TYPE lagraphd_catalog_updates_total counter\n")
 	p("lagraphd_catalog_updates_total %d\n", cat.Updates)
-	p("# TYPE lagraphd_catalog_warms_total counter\n")
+	p("# HELP lagraphd_catalog_warms_total Pending-tuple assemblies a read ran under a graph's exclusive lock.\n# TYPE lagraphd_catalog_warms_total counter\n")
 	p("lagraphd_catalog_warms_total %d\n", cat.Warms)
 
 	p("# HELP lagraphd_queries_inflight Queries holding a worker slot.\n# TYPE lagraphd_queries_inflight gauge\n")
