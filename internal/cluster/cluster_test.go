@@ -512,19 +512,25 @@ func TestWriterRacingPollKeepsReplica(t *testing.T) {
 // via a topology epoch bump: snapshot-first re-ship to the new owner,
 // reads served by the old owner until the handoff completes, epoch
 // gossip from a single POST, and checksum identity afterwards.
-func TestRebalanceHandoffOnEpochBump(t *testing.T) {
+// handoffToC boots a/b on epoch 1 with a graph whose epoch-2 primary is
+// c, ingests 12 batches at the epoch-1 primary, then boots c on epoch 2,
+// bumps a/b with one POST, and waits until c has adopted the graph. It
+// returns the nodes, the graph name, the epoch-2 ring, and the graph's
+// checksum before the move.
+func handoffToC(t *testing.T) (nodes map[string]*testNode, name string, ring2 *Ring, oldSum uint64) {
+	t.Helper()
 	ids := []string{"a", "b", "c"}
 	// Epoch 1: {a, b} only. c's server exists (its URL is in epoch 2)
 	// but the node boots later, already holding epoch 2.
-	nodes := newTestCluster(t, ids, flatTopology(1, 1, []string{"a", "b"}), []string{"a", "b"})
+	nodes = newTestCluster(t, ids, flatTopology(1, 1, []string{"a", "b"}), []string{"a", "b"})
 	urls := map[string]string{}
 	for id, tn := range nodes {
 		urls[id] = tn.srv.URL
 	}
 	epoch2 := flatTopology(2, 1, ids)(urls)
-	ring2 := NewRing(epoch2)
+	ring2 = NewRing(epoch2)
 	// A graph owned by {a,b} at epoch 1 whose epoch-2 primary is c.
-	name := pickName(t, ring2, "move", func(o []NodeInfo) bool { return o[0].ID == "c" })
+	name = pickName(t, ring2, "move", func(o []NodeInfo) bool { return o[0].ID == "c" })
 
 	a, b, c := nodes["a"], nodes["b"], nodes["c"]
 	ring1 := NewRing(a.top)
@@ -542,7 +548,7 @@ func TestRebalanceHandoffOnEpochBump(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := oe.Generation()
-	oldSum := old.graphChecksum(t, name)
+	oldSum = old.graphChecksum(t, name)
 	waitFor(t, 15*time.Second, "epoch-1 replication", func() bool {
 		for _, id := range []string{"a", "b"} {
 			e, gerr := nodes[id].cat.Get(name)
@@ -579,15 +585,19 @@ func TestRebalanceHandoffOnEpochBump(t *testing.T) {
 	waitFor(t, 15*time.Second, "epoch gossip", func() bool {
 		return a.n.Epoch() == 2 && b.n.Epoch() == 2 && c.n.Epoch() == 2
 	})
-	// The new owner must adopt the graph as primary and every placement
-	// member must converge on the same bytes.
+	// The new owner must adopt the graph as primary. Handoffs counts
+	// finished adoptions, so once it moves the adoption snapshot has run.
 	waitFor(t, 20*time.Second, "handoff to c", func() bool {
 		e, gerr := c.cat.Get(name)
-		return gerr == nil && e.Role() == catalog.RolePrimary
+		return gerr == nil && e.Role() == catalog.RolePrimary && c.n.Stats().Handoffs > 0
 	})
-	if c.n.Stats().Handoffs == 0 {
-		t.Fatal("new primary reports no handoffs")
-	}
+	return nodes, name, ring2, oldSum
+}
+
+func TestRebalanceHandoffOnEpochBump(t *testing.T) {
+	nodes, name, ring2, oldSum := handoffToC(t)
+	c := nodes["c"]
+	// Every placement member must converge on the same bytes.
 	owners := ring2.Place(name)
 	waitFor(t, 20*time.Second, "placement convergence", func() bool {
 		for _, tn := range nodes {
@@ -614,6 +624,31 @@ func TestRebalanceHandoffOnEpochBump(t *testing.T) {
 		if got := nodes[o.ID].graphChecksum(t, name); got != oldSum {
 			t.Fatalf("replica %s checksum %016x, want %016x", o.ID, got, oldSum)
 		}
+	}
+}
+
+// TestAdoptedGraphSurvivesRestart: batches acknowledged by a new
+// primary after a handoff must survive its restart. Adoption rebases
+// the graph's journal floor into the local LSN space without bumping
+// its generation; the adoption snapshot must still land, or the next
+// boot restores the old floor (from the source's LSN space) and skips
+// the new batches as already contained.
+func TestAdoptedGraphSurvivesRestart(t *testing.T) {
+	nodes, name, _, _ := handoffToC(t)
+	c := nodes["c"]
+	for i := 0; i < 3; i++ {
+		c.ingest(t, store.EdgeBatch{Name: name, Ops: []store.EdgeOp{
+			{Src: (i * 7) % 48, Dst: (i*11 + 5) % 48, Weight: float64(i) + 0.5},
+		}})
+	}
+	want := c.graphChecksum(t, name)
+	c.kill()
+	c.boot(t)
+	if rs := c.pers.ReplayStats(); rs.Applied != 3 || rs.SkippedFloor != 0 {
+		t.Fatalf("replay after restart = %+v, want Applied:3 SkippedFloor:0", rs)
+	}
+	if got := c.graphChecksum(t, name); got != want {
+		t.Fatalf("restarted primary checksum %016x, want %016x", got, want)
 	}
 }
 

@@ -1,14 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"strconv"
 
-	"lagraph/internal/catalog"
 	"lagraph/internal/store"
 	"lagraph/internal/wal"
 )
@@ -174,8 +172,9 @@ func (n *Node) handleWALStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshotFetch serves one graph as a framed, checksummed snapshot
-// — the same bytes a local store snapshot would hold, so the follower
-// installs it through the standard decode path.
+// — the same bytes a local store snapshot would hold (Persister.Frame,
+// fence included), so the follower installs it through the standard
+// decode path.
 func (n *Node) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	e, err := n.cat.Get(name)
@@ -183,30 +182,13 @@ func (n *Node) handleSnapshotFetch(w http.ResponseWriter, r *http.Request) {
 		clusterError(w, http.StatusNotFound, "not_found", err.Error(), false)
 		return
 	}
-	// Same fence SnapshotOne applies: a primary graph that has never
-	// journaled must not inherit WAL records of an earlier same-name
-	// incarnation — and the shipped floor must exclude them too. Replica
-	// entries are exempt (their mark is in the source's LSN space).
-	if l := n.pers.WAL(); l != nil && e.Role() != catalog.RoleReplica {
-		e.FenceJournalSeq(l.NextLSN() - 1)
-	}
-	var buf bytes.Buffer
-	info, err := e.Snapshot(&buf)
+	meta, payload, err := n.pers.Frame(e)
 	if err != nil {
 		clusterError(w, http.StatusInternalServerError, "internal", err.Error(), true)
 		return
 	}
-	kind := "undirected"
-	if info.Directed {
-		kind = "directed"
-	}
-	meta := store.Meta{
-		Name: name, Kind: kind,
-		NRows: int64(info.N), NCols: int64(info.N), NVals: int64(info.NEdges),
-		Generation: info.Generation, Journal: info.Journal,
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := store.WriteFrame(w, meta, buf.Bytes()); err != nil {
+	if err := store.WriteFrame(w, meta, payload); err != nil {
 		// Response already committed; the follower's frame CRC fails.
 		n.logf("cluster: snapshot ship %q: %v", name, err)
 		return

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -509,12 +508,9 @@ func (n *Node) installSnapshot(ctx context.Context, src NodeInfo, name string) (
 	if meta.Name != name {
 		return nil, fmt.Errorf("cluster: snapshot frame names %q, want %q", meta.Name, name)
 	}
-	g, err := lagraph.ReadGraph(bytes.NewReader(payload))
+	g, err := store.DecodeGraph(meta, payload)
 	if err != nil {
 		return nil, err
-	}
-	if directed := g.Kind == lagraph.Directed; directed != (meta.Kind == "directed") {
-		return nil, fmt.Errorf("cluster: snapshot %q payload kind contradicts metadata %q", name, meta.Kind)
 	}
 	// Registration happens under the ring mutex so it is atomic against
 	// DropGraph: a name tombstoned after this pass sampled the peer

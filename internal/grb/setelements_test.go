@@ -132,3 +132,28 @@ func TestSetElementsInterleavesWithRemoves(t *testing.T) {
 		t.Fatalf("want ErrNoValue, got %v", err)
 	}
 }
+
+// TestSetElementsGrowsPendingGeometrically pins the amortized bound: a
+// run of small last-wins batches (the WAL replay shape) must regrow the
+// pending buffer O(log e) times, not once per batch, or replaying b
+// batches copies and zeroes O(b²) tuples.
+func TestSetElementsGrowsPendingGeometrically(t *testing.T) {
+	a := MustMatrix[float64](64, 64)
+	const batches = 1000
+	regrows := 0
+	for k := 0; k < batches; k++ {
+		before := cap(a.pend)
+		if err := a.SetElements([]int{k % 64, (k + 1) % 64}, []int{(k + 1) % 64, k % 64}, []float64{1, 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if cap(a.pend) != before {
+			regrows++
+		}
+	}
+	if pend, _ := a.Pending(); pend != 2*batches {
+		t.Fatalf("pending=%d want %d", pend, 2*batches)
+	}
+	if regrows > 40 {
+		t.Fatalf("%d batches regrew the pending buffer %d times, want O(log e)", batches, regrows)
+	}
+}

@@ -13,11 +13,13 @@ import (
 	"lagraph/internal/wal"
 )
 
-// Persister ties a catalog to a store: it knows which generation of each
-// graph is durably on disk, snapshots dirty entries (generation-counter
-// diff), and replays the store into the catalog on boot. Snapshots run
-// under the entry's shared read lock (catalog.Entry.Snapshot), so
-// concurrent queries keep executing while a graph serializes.
+// Persister ties a catalog to a store. It is the single owner of what is
+// durable: per graph, the (generation, journal floor) its live snapshot
+// holds, and an incarnation counter that decides whether a snapshot may
+// replace it. It snapshots dirty entries (generation-counter diff) and
+// replays the store into the catalog on boot. Snapshots run under the
+// entry's shared read lock (catalog.Entry.Snapshot), so concurrent
+// queries keep executing while a graph serializes.
 type Persister struct {
 	st  *Store
 	cat *catalog.Catalog
@@ -27,36 +29,44 @@ type Persister struct {
 	// Immutable after AttachWAL (which runs before the service starts).
 	jl *wal.Log
 
-	mu    sync.Mutex
-	saved map[string]uint64 //grblint:guardedby mu // name → generation last durably written
-	// removed counts Remove calls per name: a tombstone epoch. SnapshotOne
-	// pins the count before serializing and vetoes its store commit when a
-	// Remove interleaved, so a slow snapshot can never resurrect a graph
-	// dropped while it serialized.
-	removed map[string]uint64 //grblint:guardedby mu
-	// journal is each graph's durable WAL floor: the highest LSN already
-	// contained in its live snapshot. Records at or below the floor are
-	// dead for that graph; the floor across all graphs drives segment
-	// truncation.
-	journal map[string]uint64 //grblint:guardedby mu
+	mu sync.Mutex
+	// durable describes each graph's live snapshot; no record means no
+	// snapshot of the current incarnation is durable yet.
+	durable map[string]durableMark //grblint:guardedby mu
+	// incarnation counts, per name, the events after which the durable
+	// record no longer describes the graph: Remove, and ResetJournalFloor
+	// (the graph moved into another LSN space). SnapshotOne pins it
+	// before serializing; a snapshot commits only in the incarnation it
+	// was pinned in, so a slow snapshot can neither resurrect a dropped
+	// graph nor reinstate a floor from the wrong LSN space.
+	incarnation map[string]uint64 //grblint:guardedby mu
 	// applied is each graph's in-memory WAL high-water mark (last LSN
-	// applied to the catalog entry). applied > journal means the graph
-	// has journaled mutations not yet captured by a snapshot.
+	// applied to the catalog entry). applied past the durable floor means
+	// the graph has journaled mutations not yet captured by a snapshot.
 	applied map[string]uint64 //grblint:guardedby mu
 	// replayStats records what the boot-time WAL replay did.
 	replayStats ReplayStats //grblint:guardedby mu
 
-	// afterSerialize, when non-nil, runs between serialization and the
-	// store save. Test seam for the drop-vs-snapshot race.
+	// afterSerialize, when non-nil, runs between serialization (and the
+	// early skip) and the store save. Test seam for the races the commit
+	// veto settles.
 	afterSerialize func(name string)
+}
+
+// durableMark identifies a graph's live snapshot: the generation it
+// pinned and its journal floor, the highest LSN it already contains.
+// Records at or below the floor are dead for that graph; the floor
+// across all graphs drives segment truncation.
+type durableMark struct {
+	gen, journal uint64
 }
 
 // NewPersister wires a store to a catalog.
 func NewPersister(st *Store, cat *catalog.Catalog) *Persister {
 	return &Persister{
 		st: st, cat: cat,
-		saved: map[string]uint64{}, removed: map[string]uint64{},
-		journal: map[string]uint64{}, applied: map[string]uint64{},
+		durable: map[string]durableMark{}, incarnation: map[string]uint64{},
+		applied: map[string]uint64{},
 	}
 }
 
@@ -76,8 +86,9 @@ type SnapResult struct {
 	Generation uint64  `json:"generation"`
 	Bytes      int64   `json:"bytes"`
 	ElapsedMS  float64 `json:"elapsed_ms"`
-	// Written is false when a concurrent snapshot of a newer generation
-	// made this one redundant.
+	// Written is false when the commit veto discarded the snapshot: it
+	// was not newer than the durable copy, or the graph was dropped or
+	// moved into another LSN space while it serialized.
 	Written bool `json:"written"`
 }
 
@@ -91,12 +102,9 @@ type SnapResult struct {
 // clean, so a restart does not immediately re-snapshot everything.
 func (p *Persister) LoadAll() ([]RecoveryEvent, error) {
 	events, err := p.st.LoadAll(func(meta Meta, payload []byte) error {
-		g, gerr := lagraph.ReadGraph(bytes.NewReader(payload))
+		g, gerr := DecodeGraph(meta, payload)
 		if gerr != nil {
 			return gerr
-		}
-		if got := kindString(g.Kind == lagraph.Directed); got != meta.Kind {
-			return corruptf("snapshot %q: payload kind %q contradicts metadata %q", meta.Name, got, meta.Kind)
 		}
 		e, aerr := p.cat.Add(meta.Name, g)
 		if aerr != nil {
@@ -105,8 +113,7 @@ func (p *Persister) LoadAll() ([]RecoveryEvent, error) {
 		e.SeedGeneration(meta.Generation)
 		e.SetJournalSeq(meta.Journal)
 		p.mu.Lock()
-		p.saved[meta.Name] = meta.Generation
-		p.journal[meta.Name] = meta.Journal
+		p.durable[meta.Name] = durableMark{gen: meta.Generation, journal: meta.Journal}
 		p.applied[meta.Name] = meta.Journal
 		p.mu.Unlock()
 		return nil
@@ -168,7 +175,7 @@ func (p *Persister) replayWAL() error {
 			return fmt.Errorf("store: wal replay: record %d: %w", r.LSN, derr)
 		}
 		p.mu.Lock()
-		floor := p.journal[b.Name]
+		floor := p.durable[b.Name].journal
 		p.mu.Unlock()
 		e, gerr := p.cat.Get(b.Name)
 		if gerr != nil {
@@ -240,30 +247,32 @@ func (p *Persister) MarkApplied(name string, lsn uint64) {
 	p.mu.Unlock()
 }
 
-// ResetJournalFloor overwrites the named graph's journal bookkeeping with
-// lsn, unconditionally. The cluster layer calls it when a graph changes
-// LSN space: installing a shipped snapshot on a replica (the floor moves
-// into the source primary's space) or adopting a moved graph as the new
-// primary (the floor rebases onto the local log head, because this node
-// is now the single writer and all shipped history is baked into the
-// adopted snapshot). The unconditional overwrite is the point — the old
-// value belongs to a different log and comparing against it would be
-// meaningless.
+// ResetJournalFloor starts a new incarnation of the named graph, with
+// in-memory WAL mark lsn. The cluster layer calls it when a graph
+// changes LSN space: installing a shipped snapshot on a replica (the
+// mark moves into the source primary's space) or adopting a moved graph
+// as the new primary (the mark rebases onto the local log head, because
+// this node is now the single writer and all shipped history is baked
+// into the adopted snapshot). The live snapshot's floor belongs to the
+// old space, so its record is forgotten: the next snapshot commits at
+// any generation, and one pinned before the reset is vetoed.
 func (p *Persister) ResetJournalFloor(name string, lsn uint64) {
 	p.mu.Lock()
-	p.journal[name] = lsn
+	p.incarnation[name]++
+	delete(p.durable, name)
 	p.applied[name] = lsn
 	p.mu.Unlock()
 }
 
-// HasDurable reports whether the named graph has a durable snapshot. The
-// edges handler consults it to force a baseline snapshot before the
-// FIRST journaled batch of a freshly loaded graph — without one, the
-// WAL would hold mutations for a graph recovery cannot reconstruct.
+// HasDurable reports whether the named graph's current incarnation has a
+// durable snapshot. The edges handler consults it to force a baseline
+// snapshot before the FIRST journaled batch of a freshly loaded (or
+// rebased) graph — without one, the WAL would hold mutations for a graph
+// recovery cannot reconstruct.
 func (p *Persister) HasDurable(name string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_, ok := p.saved[name]
+	_, ok := p.durable[name]
 	return ok
 }
 
@@ -277,7 +286,7 @@ func (p *Persister) TruncateWAL() (int, error) {
 	floor := p.jl.NextLSN()
 	p.mu.Lock()
 	for name, applied := range p.applied {
-		if jf := p.journal[name]; applied > jf && jf+1 < floor {
+		if jf := p.durable[name].journal; applied > jf && jf+1 < floor {
 			floor = jf + 1
 		}
 	}
@@ -286,17 +295,18 @@ func (p *Persister) TruncateWAL() (int, error) {
 }
 
 // Dirty returns the names whose in-memory generation differs from the
-// last durably saved one (including graphs never saved at all), sorted.
-// The saved map is copied under p.mu and the catalog consulted with no
-// lock held: the repo-wide lock order is catalog→store, and holding a
-// store-side mutex across a catalog call is the deadlock shape grblint's
-// lock-discipline check forbids. The copy is a consistent-enough basis —
-// a graph saved or removed mid-scan is re-classified on the next sweep.
+// durable one (including graphs with no durable snapshot), sorted. The
+// durable generations are copied under p.mu and the catalog consulted
+// with no lock held: the repo-wide lock order is catalog→store, and
+// holding a store-side mutex across a catalog call is the deadlock shape
+// grblint's lock-discipline check forbids. The copy is a
+// consistent-enough basis — a graph saved or removed mid-scan is
+// re-classified on the next sweep.
 func (p *Persister) Dirty() []string {
 	p.mu.Lock()
-	saved := make(map[string]uint64, len(p.saved))
-	for name, gen := range p.saved {
-		saved[name] = gen
+	saved := make(map[string]uint64, len(p.durable))
+	for name, d := range p.durable {
+		saved[name] = d.gen
 	}
 	p.mu.Unlock()
 	var dirty []string
@@ -315,74 +325,87 @@ func (p *Persister) Dirty() []string {
 
 // SnapshotOne serializes the named graph at a pinned generation and saves
 // it durably. Queries sharing the entry's read lock keep running. The
-// save commit is vetoed if the graph is Removed while the snapshot
-// serializes, so a drop racing a flush can never resurrect the graph.
+// store commit is vetoed unless the snapshot is newer by generation than
+// the durable copy of the incarnation it was pinned in, so a drop or a
+// rebase racing a flush can never resurrect the graph or its old floor.
 func (p *Persister) SnapshotOne(name string) (SnapResult, error) {
 	e, err := p.cat.Get(name)
 	if err != nil {
 		return SnapResult{}, err
 	}
 	p.mu.Lock()
-	rem := p.removed[name]
+	inc := p.incarnation[name]
 	p.mu.Unlock()
-	// A graph that has never journaled a batch must not inherit WAL
-	// records of an earlier same-name incarnation: dropping a graph
-	// deletes its floors but leaves its records in the log, so a
-	// re-created graph snapshotted with Journal 0 would have the old
-	// records replayed onto it after a crash. Fencing the entry at the
-	// current log head before the pin makes this snapshot's floor exclude
-	// every pre-existing record — none of which can belong to an
-	// incarnation that has journaled nothing yet. Replica entries are
-	// exempt: their journal mark lives in the SOURCE primary's LSN space
-	// (it is the replication position), and fencing it against the local
-	// log head would splice two unrelated LSN spaces together.
-	if p.jl != nil && e.Role() != catalog.RoleReplica {
-		e.FenceJournalSeq(p.jl.NextLSN() - 1)
-	}
 	t0 := time.Now()
-	var buf bytes.Buffer
-	info, err := e.Snapshot(&buf)
+	meta, payload, err := p.Frame(e)
 	if err != nil {
 		p.st.snapshotErrors.Add(1)
 		return SnapResult{}, fmt.Errorf("store: snapshot %q: %w", name, err)
 	}
-	if p.afterSerialize != nil {
-		p.afterSerialize(name)
-	}
-	kind := kindString(info.Directed)
-	written, err := p.st.SaveIf(Meta{
-		Name: name, Kind: kind,
-		NRows: int64(info.N), NCols: int64(info.N), NVals: int64(info.NEdges),
-		Generation: info.Generation, Journal: info.Journal,
-	}, buf.Bytes(), func() bool {
+	mark := durableMark{gen: meta.Generation, journal: meta.Journal}
+	newer := func() bool {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		return p.removed[name] == rem
-	})
-	if err != nil {
-		return SnapResult{}, err
+		cur, ok := p.durable[name]
+		return p.incarnation[name] == inc && (!ok || mark.gen > cur.gen)
+	}
+	// A snapshot already durable or superseded skips the write the veto
+	// would discard.
+	written := false
+	if newer() {
+		if p.afterSerialize != nil {
+			p.afterSerialize(name)
+		}
+		written, err = p.st.SaveIf(meta, payload, newer, func() {
+			// Runs under the store mutex, like the veto, so no other
+			// commit or Remove of this graph sits between them; only a
+			// rebase (which takes p.mu alone) can, and then the record
+			// stays away.
+			p.mu.Lock()
+			if p.incarnation[name] == inc {
+				p.durable[name] = mark
+			}
+			p.mu.Unlock()
+		})
+		if err != nil {
+			return SnapResult{}, err
+		}
 	}
 	elapsed := time.Since(t0)
 	p.st.snapshotNanos.Add(int64(elapsed))
-	p.mu.Lock()
-	// Only mark the graph clean if no Remove interleaved: a vetoed save
-	// must not leave a stale saved-generation behind for a future re-add
-	// of the same name.
-	if p.removed[name] == rem {
-		if gen, ok := p.saved[name]; !ok || info.Generation > gen || written {
-			p.saved[name] = info.Generation
-		}
-		// The snapshot contains every journaled batch up to info.Journal:
-		// advance the durable floor so truncation can retire segments.
-		if info.Journal > p.journal[name] {
-			p.journal[name] = info.Journal
-		}
-	}
-	p.mu.Unlock()
 	return SnapResult{
-		Name: name, Generation: info.Generation, Bytes: int64(buf.Len()),
+		Name: name, Generation: meta.Generation, Bytes: int64(len(payload)),
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond), Written: written,
 	}, nil
+}
+
+// Frame serializes e as a snapshot frame: the metadata and payload that
+// SnapshotOne saves and the cluster ships to followers. A primary graph
+// that has never journaled a batch must not inherit WAL records of an
+// earlier same-name incarnation: dropping a graph deletes its floors but
+// leaves its records in the log, so a re-created graph framed with
+// Journal 0 would have the old records replayed onto it after a crash
+// (or streamed onto a follower). Frame therefore fences such an entry at
+// the current log head before the pin, so the frame's floor excludes
+// every pre-existing record — none of which can belong to an incarnation
+// that has journaled nothing yet. Replica entries are exempt: their
+// journal mark lives in the SOURCE primary's LSN space (it is the
+// replication position), and fencing it against the local log head
+// would splice two unrelated LSN spaces together.
+func (p *Persister) Frame(e *catalog.Entry) (Meta, []byte, error) {
+	if p.jl != nil && e.Role() != catalog.RoleReplica {
+		e.FenceJournalSeq(p.jl.NextLSN() - 1)
+	}
+	var buf bytes.Buffer
+	info, err := e.Snapshot(&buf)
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	return Meta{
+		Name: e.Name(), Kind: kindString(info.Directed),
+		NRows: int64(info.N), NCols: int64(info.N), NVals: int64(info.NEdges),
+		Generation: info.Generation, Journal: info.Journal,
+	}, buf.Bytes(), nil
 }
 
 // FlushResult reports one FlushDirty pass.
@@ -419,21 +442,34 @@ func (p *Persister) FlushDirty() (FlushResult, error) {
 }
 
 // Remove forgets a graph's durable copy (mirrors a catalog Drop). The
-// tombstone bump happens before the store removal, so an in-flight
-// SnapshotOne that serialized the graph before the drop is vetoed at
-// commit time no matter how the two interleave. Reports whether a
-// durable copy existed.
+// incarnation bump runs under the store mutex before the manifest entry
+// goes, so a snapshot serialized before the drop is vetoed, and one of a
+// same-name graph re-created meanwhile lands wholly before or after the
+// removal. The WAL mark goes too: a dropped graph must not pin the
+// truncation floor (its records replay as skipped-unknown). Reports
+// whether a durable copy existed.
 func (p *Persister) Remove(name string) (removed bool, err error) {
-	p.mu.Lock()
-	p.removed[name]++
-	delete(p.saved, name)
-	// Forget the graph's journal position too: a dropped graph must not
-	// pin the truncation floor (its WAL records replay as
-	// skipped-unknown, which is exactly right for a drop).
-	delete(p.journal, name)
-	delete(p.applied, name)
-	p.mu.Unlock()
-	return p.st.Remove(name)
+	return p.st.Remove(name, func() {
+		p.mu.Lock()
+		p.incarnation[name]++
+		delete(p.durable, name)
+		delete(p.applied, name)
+		p.mu.Unlock()
+	})
+}
+
+// DecodeGraph decodes a snapshot frame's payload. A payload whose kind
+// contradicts meta.Kind is corrupt (ErrCorrupt), like one that does not
+// decode.
+func DecodeGraph(meta Meta, payload []byte) (*lagraph.Graph, error) {
+	g, err := lagraph.ReadGraph(bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
+	}
+	if got := kindString(g.Kind == lagraph.Directed); got != meta.Kind {
+		return nil, corruptf("snapshot %q: payload kind %q contradicts metadata %q", meta.Name, got, meta.Kind)
+	}
+	return g, nil
 }
 
 // kindString maps the graph kind onto the frame metadata vocabulary.

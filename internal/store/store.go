@@ -19,21 +19,16 @@ import (
 // which snapshot files are current.
 const manifestName = "MANIFEST"
 
-// manifestEntry records one graph's live snapshot. Epoch is the store's
-// boot epoch at the time of the write: catalog generations restart at
-// zero in every process life, so generations are only comparable between
-// entries of the same epoch. Entries adopted by a rescan carry epoch 0
-// ("unknown"), which matches no live epoch.
+// manifestEntry records one graph's live snapshot.
 type manifestEntry struct {
 	File       string `json:"file"`
 	Generation uint64 `json:"generation"`
-	Epoch      uint64 `json:"epoch,omitempty"`
 }
 
-// manifestDoc is the manifest payload. Epoch records the boot epoch of
-// the last writer; each Open resumes from it + 1.
+// manifestDoc is the manifest payload. Decoding ignores unknown keys, so
+// a manifest written by an older release, with keys since retired, still
+// opens.
 type manifestDoc struct {
-	Epoch  uint64                   `json:"epoch,omitempty"`
 	Graphs map[string]manifestEntry `json:"graphs"`
 }
 
@@ -49,17 +44,14 @@ type Stats struct {
 }
 
 // Store manages the snapshot files and manifest under one data directory.
-// All methods are safe for concurrent use.
+// It holds no policy about which snapshot is newer: a caller that needs
+// one passes a commit veto to SaveIf. All methods are safe for
+// concurrent use.
 type Store struct {
 	dir string
 
-	// epoch is this Open's boot epoch: one more than the epoch persisted
-	// by the previous life's manifest. Immutable after Open.
-	epoch uint64
-
 	mu       sync.Mutex               // guards manifest (map + file) and file shuffling
 	manifest map[string]manifestEntry //grblint:guardedby mu
-	manSeq   uint64                   //grblint:guardedby mu // manifest write sequence, stored as its Generation
 
 	snapshots      atomic.Int64
 	snapshotBytes  atomic.Int64
@@ -83,7 +75,6 @@ func Open(dir string) (*Store, error) {
 	data, err := os.ReadFile(path)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		s.epoch = 1
 		if err := s.rescan(); err != nil {
 			return nil, err
 		}
@@ -98,27 +89,18 @@ func Open(dir string) (*Store, error) {
 			ferr = corruptf("manifest frame has kind %q", meta.Kind)
 		}
 		if ferr != nil {
-			// The previous life's epoch is unreadable; epoch 1 is safe
-			// because rescan normalizes every adopted entry to epoch 0.
-			s.epoch = 1
 			s.quarantine(path)
 			if err := s.rescan(); err != nil {
 				return nil, err
 			}
 			break
 		}
-		s.manSeq = meta.Generation
-		s.epoch = doc.Epoch + 1
 		if doc.Graphs != nil {
 			s.manifest = doc.Graphs
 		}
 	}
 	return s, nil
 }
-
-// Epoch returns this Open's boot epoch. Generation guards apply only
-// between saves of the same epoch.
-func (s *Store) Epoch() uint64 { return s.epoch }
 
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.dir }
@@ -150,65 +132,41 @@ func (s *Store) rescan() error {
 	return s.writeManifestLocked()
 }
 
-// Save durably writes one snapshot frame and repoints the manifest at it.
-// The generation guard makes concurrent saves of the same graph safe:
-// a Save carrying an older generation than the manifest's live entry of
-// the same boot epoch is dropped rather than allowed to roll the graph
-// back. Entries persisted by a previous process life carry an older
-// epoch and never block a save: catalog generations restart at zero on
-// every boot, so cross-epoch generations are not comparable.
+// Save durably writes one snapshot frame and repoints the manifest at
+// it, unconditionally.
 func (s *Store) Save(meta Meta, payload []byte) (written bool, err error) {
-	return s.SaveIf(meta, payload, nil)
+	return s.SaveIf(meta, payload, nil, nil)
 }
 
-// SaveIf is Save with a commit veto: when ok is non-nil it is consulted
-// under the store mutex immediately before the manifest is repointed, and
-// a false return discards the write without touching the manifest. The
-// Persister uses it to keep a slow snapshot from resurrecting a graph
-// that was dropped while the snapshot serialized.
-func (s *Store) SaveIf(meta Meta, payload []byte, ok func() bool) (written bool, err error) {
+// SaveIf is Save with a commit veto. The frame is written and fsynced to
+// a temp file first; then, under the store mutex, ok (when non-nil)
+// decides whether it may become live. A false return discards the temp
+// file, so a vetoed write never touches a live file or the manifest.
+// Otherwise the frame is renamed into place, the manifest repointed, and
+// committed (when non-nil) runs, still under the mutex, so a caller can
+// record what is durable atomically with the repoint.
+func (s *Store) SaveIf(meta Meta, payload []byte, ok func() bool, committed func()) (written bool, err error) {
 	defer func() {
 		if err != nil {
 			s.snapshotErrors.Add(1)
 		}
 	}()
-	final := snapFileName(meta.Name, meta.Generation)
-	// Idempotence: a generation already durable (or superseded) in this
-	// epoch needs no write — snapshot bytes at a given generation are
-	// deterministic, so the live file is already exactly this payload or
-	// newer.
-	s.mu.Lock()
-	if old, had := s.manifest[meta.Name]; had && old.Epoch == s.epoch && old.Generation >= meta.Generation {
-		s.mu.Unlock()
-		return false, nil
-	}
-	s.mu.Unlock()
-	if err := s.writeFileAtomic(final, meta, payload); err != nil {
+	final := snapFileName(meta.Name, meta.Generation, meta.Journal)
+	tmp, err := s.writeTemp(final, meta, payload)
+	if err != nil {
 		return false, err
 	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old, had := s.manifest[meta.Name]
-	// removeFinal discards the just-written file unless the manifest's
-	// live entry already names it (a re-save of the same generation
-	// renamed identical bytes over the live file).
-	removeFinal := func() {
-		if !had || old.File != final {
-			_ = os.Remove(filepath.Join(s.dir, final))
-		}
-	}
 	if ok != nil && !ok() {
-		removeFinal()
+		_ = os.Remove(tmp) // a stray temp file is only clutter: Open and rescan skip it
 		return false, nil
 	}
-	if had && old.Epoch == s.epoch && old.Generation >= meta.Generation {
-		// A snapshot at this generation or newer landed while this one was
-		// serializing: keep it.
-		removeFinal()
-		return false, nil
+	if err := s.install(tmp, final); err != nil {
+		return false, err
 	}
-	s.manifest[meta.Name] = manifestEntry{File: final, Generation: meta.Generation, Epoch: s.epoch}
+	old, had := s.manifest[meta.Name]
+	s.manifest[meta.Name] = manifestEntry{File: final, Generation: meta.Generation}
 	if err := s.writeManifestLocked(); err != nil {
 		// The manifest still names the old snapshot; the new file is
 		// orphaned but harmless (a future rescan would adopt it).
@@ -220,6 +178,9 @@ func (s *Store) SaveIf(meta Meta, payload []byte, ok func() bool) (written bool,
 	}
 	if had && old.File != final {
 		_ = os.Remove(filepath.Join(s.dir, old.File))
+	}
+	if committed != nil {
+		committed()
 	}
 	s.snapshots.Add(1)
 	s.snapshotBytes.Add(int64(len(payload)))
@@ -323,11 +284,14 @@ func (s *Store) LoadAll(decode func(meta Meta, payload []byte) error) ([]Recover
 
 // Remove drops name's snapshot: manifest first (so a crash between the
 // two steps leaves an orphaned file, not a dangling manifest entry), then
-// the file. It reports whether a manifest entry existed, so callers can
-// distinguish "cleaned up" from "nothing to clean".
-func (s *Store) Remove(name string) (removed bool, err error) {
+// the file. forget runs first, under the store mutex, so no SaveIf commit
+// can land between it and the removal. It reports whether a manifest
+// entry existed, so callers can distinguish "cleaned up" from "nothing
+// to clean".
+func (s *Store) Remove(name string, forget func()) (removed bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	forget()
 	ent, ok := s.manifest[name]
 	if !ok {
 		return false, nil
@@ -351,14 +315,6 @@ func (s *Store) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Generation returns the manifest's recorded generation for name.
-func (s *Store) Generation(name string) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ent, ok := s.manifest[name]
-	return ent.Generation, ok
 }
 
 // Stats snapshots the store counters.
@@ -390,42 +346,45 @@ func (s *Store) quarantine(path string) {
 //
 //grblint:locked mu
 func (s *Store) writeManifestLocked() error {
-	s.manSeq++
-	payload, err := json.Marshal(manifestDoc{Epoch: s.epoch, Graphs: s.manifest})
+	payload, err := json.Marshal(manifestDoc{Graphs: s.manifest})
 	if err != nil {
 		return fmt.Errorf("store: manifest: %w", err)
 	}
-	return s.writeFileAtomic(manifestName, Meta{
-		Name: manifestName, Kind: "manifest", Generation: s.manSeq,
-	}, payload)
+	tmp, err := s.writeTemp(manifestName, Meta{Name: manifestName, Kind: "manifest"}, payload)
+	if err != nil {
+		return err
+	}
+	return s.install(tmp, manifestName)
 }
 
-// writeFileAtomic writes a frame to a same-directory temp file, fsyncs,
-// and renames it over final — the atom that makes mid-write crashes
-// invisible to readers.
-func (s *Store) writeFileAtomic(final string, meta Meta, payload []byte) error {
+// writeTemp writes a frame destined for final to a same-directory temp
+// file and fsyncs it, returning the temp path. Together with install it
+// is the atom that makes mid-write crashes invisible to readers.
+func (s *Store) writeTemp(final string, meta Meta, payload []byte) (string, error) {
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
-		return fmt.Errorf("store: write %s: %w", final, err)
+		return "", fmt.Errorf("store: write %s: %w", final, err)
 	}
 	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: write %s: %w", final, err)
+	err = WriteFrame(tmp, meta, payload)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := WriteFrame(tmp, meta, payload); err != nil {
-		return cleanup(err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
+	if err != nil {
+		_ = os.Remove(tmpName) // best-effort; the write error is the one to report
+		return "", fmt.Errorf("store: write %s: %w", final, err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: write %s: %w", final, err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, final)); err != nil {
-		os.Remove(tmpName)
+	return tmpName, nil
+}
+
+// install renames a temp file written by writeTemp over final and makes
+// the rename durable.
+func (s *Store) install(tmp, final string) error {
+	if err := os.Rename(tmp, filepath.Join(s.dir, final)); err != nil {
+		_ = os.Remove(tmp) // best-effort; the rename error is the one to report
 		return fmt.Errorf("store: write %s: %w", final, err)
 	}
 	s.syncDir()
@@ -462,10 +421,16 @@ func readFrameFile(path string) (Meta, []byte, error) {
 }
 
 // snapFileName builds the on-disk name for a snapshot: an escaped graph
-// name plus the generation. The name in the frame metadata is
-// authoritative; the file name only needs to be unique and filesystem-safe.
-func snapFileName(name string, gen uint64) string {
-	return fmt.Sprintf("%s-%d.snap", escapeName(name), gen)
+// name plus the generation and journal floor, which together identify a
+// frame (two snapshots at one generation carry different floors when the
+// graph changed LSN space in between). The name in the frame metadata is
+// authoritative; the file name only needs to be unique and
+// filesystem-safe. The "." before the floor keeps these names disjoint
+// from the older "<name>-<gen>.snap" scheme, whose last "-" is followed
+// by digits only: with a "-" there, graph "a" at generation 1, floor 2
+// would reuse the live file of graph "a-1" at generation 2.
+func snapFileName(name string, gen, journal uint64) string {
+	return fmt.Sprintf("%s-%d.%d.snap", escapeName(name), gen, journal)
 }
 
 // escapeName hex-escapes every byte outside [A-Za-z0-9.-], including the

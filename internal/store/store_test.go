@@ -132,7 +132,7 @@ func TestCrashMidWriteKeepsPreviousGood(t *testing.T) {
 	if err := WriteFrame(&fbuf, Meta{Name: "g", Kind: "undirected", Generation: 2}, newer); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapFileName("g", 2)), fbuf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapFileName("g", 2, 0)), fbuf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// State 3: torn manifest temp file.
@@ -172,11 +172,11 @@ func TestCorruptManifestRescues(t *testing.T) {
 	if err := WriteFrame(&older, Meta{Name: "keep", Kind: "undirected", Generation: 2}, graphBytes(t, testGraph(t, 3))); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapFileName("keep", 2)), older.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapFileName("keep", 2, 0)), older.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A damaged snapshot of another graph.
-	if err := os.WriteFile(filepath.Join(dir, snapFileName("broken", 1)), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapFileName("broken", 1, 0)), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Destroy the manifest.
@@ -199,7 +199,7 @@ func TestCorruptManifestRescues(t *testing.T) {
 		t.Fatalf("broken snapshot survived rescan: %v", err)
 	}
 	// The damaged file and manifest are quarantined, not deleted.
-	if _, err := os.Stat(filepath.Join(dir, snapFileName("broken", 1)+".corrupt")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, snapFileName("broken", 1, 0)+".corrupt")); err != nil {
 		t.Error("damaged snapshot not quarantined")
 	}
 	if _, err := os.Stat(filepath.Join(dir, manifestName+".corrupt")); err != nil {
@@ -210,30 +210,60 @@ func TestCorruptManifestRescues(t *testing.T) {
 	}
 }
 
-// TestSaveGenerationGuard: a Save carrying an older generation than the
-// live manifest entry must not roll the graph back.
-func TestSaveGenerationGuard(t *testing.T) {
-	st, err := Open(t.TempDir())
+// TestSnapshotPinnedBeforeNewerIsVetoed: a snapshot pinned at
+// generation g whose commit comes after a g+1 snapshot already landed
+// must not roll the graph back. The Persister's commit veto drops it.
+func TestSnapshotPinnedBeforeNewerIsVetoed(t *testing.T) {
+	leakcheck.Check(t)
+	st := Must(Open(t.TempDir()))
+	cat := catalog.New()
+	p := NewPersister(st, cat)
+	e, err := cat.Add("g", testGraph(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	newPayload := graphBytes(t, testGraph(t, 5))
-	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 7}, newPayload); err != nil {
-		t.Fatal(err)
+	setEdge := func(j int) {
+		t.Helper()
+		if err := e.Update(func(g *lagraph.Graph) error {
+			return g.A.SetElement(0, j, float64(j))
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	written, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 3}, graphBytes(t, testGraph(t, 4)))
+	setEdge(1) // generation 1: the slow snapshot pins this
+	var newer SnapResult
+	p.afterSerialize = func(name string) {
+		p.afterSerialize = nil
+		setEdge(2) // generation 2 commits first
+		sr, err := p.SnapshotOne(name)
+		if err != nil || !sr.Written {
+			t.Errorf("newer snapshot: %+v, %v", sr, err)
+		}
+		newer = sr
+	}
+	sr, err := p.SnapshotOne("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if written {
-		t.Fatal("stale save reported written")
+	if sr.Generation != 1 || sr.Written {
+		t.Fatalf("stale snapshot: %+v, want generation 1 not written", sr)
 	}
 	meta, payload, err := st.Load("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Generation != 7 || !bytes.Equal(payload, newPayload) {
-		t.Fatal("stale save rolled the snapshot back")
+	if meta.Generation != 2 || newer.Generation != 2 {
+		t.Fatalf("live snapshot is generation %d, want 2", meta.Generation)
+	}
+	var want bytes.Buffer
+	if _, err := e.Snapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payload, want.Bytes()) {
+		t.Fatal("live snapshot bytes are not generation 2's")
+	}
+	if d := p.Dirty(); len(d) != 0 {
+		t.Fatalf("dirty after the newer snapshot landed: %v", d)
 	}
 }
 
@@ -358,11 +388,11 @@ func TestLoadAllQuarantinesBadSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one payload bit in doomed's snapshot file.
-	ent, ok := st.Generation("doomed")
-	if !ok {
-		t.Fatal("doomed not in manifest")
+	meta, _, err := st.Load("doomed")
+	if err != nil {
+		t.Fatal(err)
 	}
-	path := filepath.Join(dir, snapFileName("doomed", ent))
+	path := filepath.Join(dir, snapFileName("doomed", meta.Generation, meta.Journal))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -416,8 +446,8 @@ func TestLoadAllQuarantinesBadSnapshot(t *testing.T) {
 // generations persisted by the previous life used to drop every
 // post-recovery snapshot whose (fresh, small) generation trailed the old
 // (large) one — and a crash then rolled the graph back. Recovery now
-// seeds catalog generations from the snapshot metadata, and the store's
-// guard is scoped to one boot epoch.
+// seeds catalog generations from the snapshot metadata, and only the
+// Persister, which knows what this life made durable, vetoes a commit.
 func TestRecoverySeedsGenerationsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
@@ -438,8 +468,8 @@ func TestRecoverySeedsGenerationsAcrossRestart(t *testing.T) {
 	if _, err := p1.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
-	if gen, ok := p1.Store().Generation("g"); !ok || gen != 3 {
-		t.Fatalf("manifest generation = %d,%v, want 3", gen, ok)
+	if meta, _, err := p1.Store().Load("g"); err != nil || meta.Generation != 3 {
+		t.Fatalf("live generation = %d,%v, want 3", meta.Generation, err)
 	}
 
 	// Life 2: recover, replace the graph's contents, snapshot.
@@ -486,48 +516,178 @@ func TestRecoverySeedsGenerationsAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestSaveEpochsCrossRestart pins the store-level contract behind the fix
-// above: the generation guard applies only between saves of the same boot
-// epoch, so a fresh process whose generations restarted low can still
-// overwrite a high-generation entry persisted by a previous life.
-func TestSaveEpochsCrossRestart(t *testing.T) {
+// TestStaleManifestEntryDoesNotBlockRecreatedGraph: a manifest entry
+// kept from a previous life because recovery failed for a reason other
+// than corruption (here a catalog conflict) records a generation no
+// graph in this life descends from. The first snapshot of the same-name
+// graph created in this life must replace it, whatever the generations.
+func TestStaleManifestEntryDoesNotBlockRecreatedGraph(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+
+	// Life 1: a graph at generation 57.
+	cat1 := catalog.New()
+	p1 := NewPersister(Must(Open(dir)), cat1)
+	e1, err := cat1.Add("g", testGraph(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch() != 1 {
-		t.Fatalf("first epoch = %d, want 1", st.Epoch())
-	}
-	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 57}, graphBytes(t, testGraph(t, 4))); err != nil {
+	e1.SeedGeneration(57)
+	if _, err := p1.FlushDirty(); err != nil {
 		t.Fatal(err)
-	}
-	// Same life: the guard still blocks stale generations.
-	if written, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 3}, graphBytes(t, testGraph(t, 3))); err != nil || written {
-		t.Fatalf("same-epoch stale save: written=%v err=%v", written, err)
 	}
 
-	st2, err := Open(dir)
+	// Life 2: "g" already exists when recovery runs, so its snapshot is
+	// kept on disk but not loaded; the catalog's graph starts at 0.
+	cat2 := catalog.New()
+	fresh := testGraph(t, 5)
+	wantEdges := fresh.NEdges()
+	if _, err := cat2.Add("g", fresh); err != nil {
+		t.Fatal(err)
+	}
+	p2 := NewPersister(Must(Open(dir)), cat2)
+	events, err := p2.LoadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Epoch() != 2 {
-		t.Fatalf("second epoch = %d, want 2", st2.Epoch())
+	if len(events) != 1 || events[0].Err == nil || events[0].Quarantined {
+		t.Fatalf("recovery events: %+v, want one kept failure", events)
 	}
-	fresh := graphBytes(t, testGraph(t, 5))
-	written, err := st2.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, fresh)
+	if meta, _, err := p2.Store().Load("g"); err != nil || meta.Generation != 57 {
+		t.Fatalf("kept entry: generation %d, %v", meta.Generation, err)
+	}
+	sr, err := p2.SnapshotOne("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !written {
-		t.Fatal("cross-epoch save blocked by the previous life's generation")
+	if !sr.Written || sr.Generation != 0 {
+		t.Fatalf("first snapshot of the new graph: %+v, want generation 0 written", sr)
 	}
-	meta, payload, err := st2.Load("g")
+
+	// Life 3: the new graph recovers.
+	cat3 := catalog.New()
+	events, err = NewPersister(Must(Open(dir)), cat3).LoadAll()
+	if err != nil || len(events) != 1 || events[0].Err != nil {
+		t.Fatalf("recovery: %+v, %v", events, err)
+	}
+	e3, err := cat3.Get("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Generation != 1 || !bytes.Equal(payload, fresh) {
-		t.Fatalf("live snapshot is generation %d, want the new life's 1", meta.Generation)
+	if got := e3.Properties().NEdges; got != wantEdges || e3.Generation() != 0 {
+		t.Fatalf("recovered %d edges at generation %d, want the new graph's %d at 0", got, e3.Generation(), wantEdges)
+	}
+}
+
+// TestSnapshotPinnedBeforeRebaseIsVetoed: ResetJournalFloor moves a
+// graph into another LSN space without bumping its generation. A
+// snapshot serialized before the reset carries a floor from the old
+// space and must not commit; the next snapshot, at the same generation,
+// must, carrying the new floor.
+func TestSnapshotPinnedBeforeRebaseIsVetoed(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	st := Must(Open(dir))
+	cat := catalog.New()
+	p := NewPersister(st, cat)
+	e, err := cat.Add("g", testGraph(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.FlushDirty(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Update(func(g *lagraph.Graph) error {
+		return g.A.SetElement(0, 1, 1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The rebase lands after serialization, before the store commit,
+	// exactly as the cluster's adoption does it.
+	const head = 40
+	p.afterSerialize = func(name string) {
+		p.afterSerialize = nil
+		e.SetJournalSeq(head)
+		p.ResetJournalFloor(name, head)
+	}
+	sr, err := p.SnapshotOne("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Written {
+		t.Fatalf("snapshot straddling the rebase reported written: %+v", sr)
+	}
+	if p.HasDurable("g") {
+		t.Fatal("HasDurable after the rebase, before any snapshot of the new space")
+	}
+	if meta, _, err := st.Load("g"); err != nil || meta.Generation != 0 || meta.Journal != 0 {
+		t.Fatalf("live snapshot after the veto: %+v, %v; want the untouched generation 0", meta, err)
+	}
+	sr, err = p.SnapshotOne("g")
+	if err != nil || !sr.Written || sr.Generation != 1 {
+		t.Fatalf("snapshot after the rebase: %+v, %v; want generation 1 written", sr, err)
+	}
+	if meta, _, err := st.Load("g"); err != nil || meta.Generation != 1 || meta.Journal != head {
+		t.Fatalf("live snapshot: %+v, %v; want generation 1 at floor %d", meta, err, head)
+	}
+	if !p.HasDurable("g") {
+		t.Fatal("no durable record after the new snapshot landed")
+	}
+}
+
+// TestOpensPreviousReleaseDataDir opens a data directory in the layout the
+// previous release wrote: a manifest with per-boot "epoch" keys and a nonzero
+// frame generation, and a snapshot named "<name>-<gen>.snap". The frame
+// format is unchanged, so recovery is bit-for-bit, and the first
+// snapshot after the boot writes and replaces the old file.
+func TestOpensPreviousReleaseDataDir(t *testing.T) {
+	dir := t.TempDir()
+	payload := graphBytes(t, testGraph(t, 4))
+	writeFrameFile := func(file string, meta Meta, payload []byte) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, meta, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, file), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeFrameFile("g-5.snap", Meta{Name: "g", Kind: "undirected", Generation: 5}, payload)
+	writeFrameFile(manifestName, Meta{Name: manifestName, Kind: "manifest", Generation: 9},
+		[]byte(`{"epoch":3,"graphs":{"g":{"file":"g-5.snap","generation":5,"epoch":3}}}`))
+
+	cat := catalog.New()
+	p := NewPersister(Must(Open(dir)), cat)
+	events, err := p.LoadAll()
+	if err != nil || len(events) != 1 || events[0].Err != nil {
+		t.Fatalf("recovery: %+v, %v", events, err)
+	}
+	e, err := cat.Get("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if _, err := e.Snapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), payload) || e.Generation() != 5 {
+		t.Fatalf("recovered generation %d, bytes equal %v; want 5, true", e.Generation(), bytes.Equal(got.Bytes(), payload))
+	}
+	if err := e.Update(func(g *lagraph.Graph) error {
+		return g.A.SetElement(0, 1, 1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := p.SnapshotOne("g")
+	if err != nil || !sr.Written || sr.Generation != 6 {
+		t.Fatalf("first snapshot after the upgrade: %+v, %v", sr, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "g-5.snap")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("old-scheme snapshot file not replaced: %v", err)
+	}
+	events, err = NewPersister(Must(Open(dir)), catalog.New()).LoadAll()
+	if err != nil || len(events) != 1 || events[0].Err != nil || events[0].Meta.Generation != 6 {
+		t.Fatalf("recovery after the upgrade: %+v, %v", events, err)
 	}
 }
 
@@ -611,11 +771,11 @@ func TestLoadAllKeepsFileOnNonCorruptError(t *testing.T) {
 	if len(events) != 1 || !errors.Is(events[0].Err, transient) || events[0].Quarantined {
 		t.Fatalf("events: %+v", events)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapFileName("g", 1))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, snapFileName("g", 1, 0))); err != nil {
 		t.Fatal("valid snapshot destroyed over a non-corruption error")
 	}
-	if _, ok := st.Generation("g"); !ok {
-		t.Fatal("manifest entry dropped over a non-corruption error")
+	if _, _, err := st.Load("g"); err != nil {
+		t.Fatalf("manifest entry dropped over a non-corruption error: %v", err)
 	}
 	// The next attempt (here: a permissive callback) recovers normally.
 	events, err = st.LoadAll(func(Meta, []byte) error { return nil })
@@ -624,8 +784,22 @@ func TestLoadAllKeepsFileOnNonCorruptError(t *testing.T) {
 	}
 }
 
+// TestDecodeGraphRejectsKindMismatch: boot recovery and cluster install
+// share DecodeGraph, so a frame whose metadata contradicts its payload's
+// kind is corruption on both paths (LoadAll quarantines it).
+func TestDecodeGraphRejectsKindMismatch(t *testing.T) {
+	payload := graphBytes(t, testGraph(t, 4)) // undirected
+	if _, err := DecodeGraph(Meta{Name: "g", Kind: "directed"}, payload); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("kind mismatch: %v, want ErrCorrupt", err)
+	}
+	g, err := DecodeGraph(Meta{Name: "g", Kind: "undirected"}, payload)
+	if err != nil || g.Kind != lagraph.Undirected {
+		t.Fatalf("matching kind: %v, %v", g, err)
+	}
+}
+
 // TestDirtyUnlocksBeforeCatalogScan is the regression test for the
-// Dirty() restructure: the saved-generation map is copied under p.mu and
+// Dirty() restructure: the durable generations are copied under p.mu and
 // the catalog consulted with no persister lock held (the repo-wide lock
 // order is catalog→store; grblint's lock-discipline check forbids the
 // inverse). It pins classification across the save/update/remove
