@@ -533,58 +533,75 @@ func clusterIdentity(client *http.Client, bases []string, name string, sums map[
 	return nil
 }
 
-// clusterLagging polls /v1/cluster/status on every base and reports the
-// first replica whose journal position or generation disagrees with its
-// primary's ("" = fully converged). A replica whose primary is not among
-// the polled bases cannot be judged and counts as lagging — the caller
-// is expected to name every live node.
+// clusterLagging polls /v1/cluster/status and /v1/cluster/topology on
+// every base and reports the first placement member that does not hold a
+// graph at its primary's journal position and generation ("" = fully
+// converged). Placement decides who must hold a graph, not the members'
+// own listings: a member that has not discovered a graph yet lists
+// nothing for it, and counts as lagging. Members missing from the polled
+// bases are not judged (a node deliberately down); a graph whose primary
+// is not polled cannot be judged and counts as lagging — the caller is
+// expected to name every live node.
 func clusterLagging(client *http.Client, bases []string) (string, error) {
 	type graphPos struct {
 		Name       string `json:"name"`
-		Role       string `json:"role"`
 		Generation uint64 `json:"generation"`
 		Journal    uint64 `json:"journal"`
 	}
-	type status struct {
-		Node   string     `json:"node"`
-		Ready  bool       `json:"ready"`
-		Graphs []graphPos `json:"graphs"`
-	}
-	primaries := map[string]graphPos{}
-	type replica struct {
-		base string
-		g    graphPos
-	}
-	var replicas []replica
+	held := map[string]map[string]graphPos{} // polled node → graph → position
+	placement := map[string][]string{}       // graph → members, primary first
 	for _, b := range bases {
-		body, err := getBody(client, b+"/v1/cluster/status")
-		if err != nil {
-			return b + " unreachable", err
+		var st struct {
+			Node   string     `json:"node"`
+			Ready  bool       `json:"ready"`
+			Graphs []graphPos `json:"graphs"`
 		}
-		var st status
-		if err := json.Unmarshal([]byte(body), &st); err != nil {
-			return b + " bad status", err
+		var topo struct {
+			Placements []struct {
+				Name  string   `json:"name"`
+				Nodes []string `json:"nodes"`
+			} `json:"placements"`
+		}
+		for url, doc := range map[string]any{b + "/v1/cluster/status": &st, b + "/v1/cluster/topology": &topo} {
+			body, err := getBody(client, url)
+			if err != nil {
+				return b + " unreachable", err
+			}
+			if err := json.Unmarshal([]byte(body), doc); err != nil {
+				return b + " bad " + url, err
+			}
 		}
 		if !st.Ready {
 			return b + " not ready", nil
 		}
+		held[st.Node] = map[string]graphPos{}
 		for _, g := range st.Graphs {
-			switch g.Role {
-			case "primary":
-				primaries[g.Name] = g
-			case "replica":
-				replicas = append(replicas, replica{base: b, g: g})
+			held[st.Node][g.Name] = g
+		}
+		for _, pl := range topo.Placements {
+			if len(pl.Nodes) > 0 {
+				placement[pl.Name] = pl.Nodes
 			}
 		}
 	}
-	for _, r := range replicas {
-		p, ok := primaries[r.g.Name]
+	for name, members := range placement {
+		p, ok := held[members[0]][name]
 		if !ok {
-			return fmt.Sprintf("%s replicates %q but no polled node is its primary", r.base, r.g.Name), nil
+			return fmt.Sprintf("%q: primary %s is not polled or does not hold it yet", name, members[0]), nil
 		}
-		if r.g.Journal != p.Journal || r.g.Generation != p.Generation {
-			return fmt.Sprintf("%s lags on %q: journal %d gen %d, primary at %d gen %d",
-				r.base, r.g.Name, r.g.Journal, r.g.Generation, p.Journal, p.Generation), nil
+		for _, m := range members[1:] {
+			graphs, polled := held[m]
+			if !polled {
+				continue
+			}
+			r, ok := graphs[name]
+			if !ok {
+				return fmt.Sprintf("node %s has not discovered %q yet", m, name), nil
+			}
+			if r.Journal != p.Journal || r.Generation != p.Generation {
+				return fmt.Sprintf("node %s lags on %q: journal %d gen %d, primary at %d gen %d",
+					m, name, r.Journal, r.Generation, p.Journal, p.Generation), nil
+			}
 		}
 	}
 	return "", nil

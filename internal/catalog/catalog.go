@@ -25,11 +25,10 @@
 // lock held. Each derived property is built on demand, on its own, and
 // kept until the next mutation, as in LAGraph v1's cached-property
 // model, so a query pays only for the properties it touches. Writers
-// enter through Update or Ingest, which hold the exclusive lock and
-// invalidate the property cache and bump the generation counter. Update
-// also assembles pending work before it publishes ("Wait before
-// publish"); Ingest leaves its batch pending for the next reader to
-// assemble, so a reader never observes pending tuples either way.
+// enter through Ingest, which holds the exclusive lock, invalidates the
+// property cache and bumps the generation counter. It leaves its batch
+// pending for the next reader to assemble, so a reader never observes
+// pending tuples.
 package catalog
 
 import (
@@ -48,7 +47,7 @@ var (
 	ErrNotFound = errors.New("catalog: graph not found")
 	// ErrExists is returned by Add when the name is already registered.
 	ErrExists = errors.New("catalog: graph already registered")
-	// ErrReadOnly is returned by Update/Ingest on a replica entry: a graph
+	// ErrReadOnly is returned by Ingest on a replica entry: a graph
 	// this node holds as a replication follower accepts mutations only
 	// through the replication apply path (Replicate); direct writes must
 	// go to the primary.
@@ -59,8 +58,7 @@ var (
 type Stats struct {
 	Graphs  int   `json:"graphs"`
 	Views   int64 `json:"views"`   // read-locked query executions
-	Updates int64 `json:"updates"` // write-locked mutations
-	Ingests int64 `json:"ingests"` // streaming edge-batch mutations
+	Ingests int64 `json:"ingests"` // write-locked mutations
 	// Warms counts the assemblies View ran under the exclusive lock: one
 	// per read that found pending tuples or zombies (the JSON name and
 	// the lagraphd_catalog_warms_total metric keep the old name).
@@ -73,7 +71,6 @@ type Catalog struct {
 	entries map[string]*Entry //grblint:guardedby mu
 
 	views   atomic.Int64
-	updates atomic.Int64
 	ingests atomic.Int64
 	warms   atomic.Int64
 }
@@ -97,30 +94,6 @@ func (c *Catalog) Add(name string, g *lagraph.Graph) (*Entry, error) {
 	e := &Entry{name: name, g: g, cat: c}
 	c.entries[name] = e
 	return e, nil
-}
-
-// Replace registers g under name, replacing any existing graph. When the
-// name exists, the swap happens under the entry's exclusive lock, so
-// in-flight readers finish against the old graph and later readers see
-// the new one — the Entry identity (and any held references) stays valid.
-func (c *Catalog) Replace(name string, g *lagraph.Graph) (*Entry, error) {
-	if g == nil {
-		return nil, fmt.Errorf("catalog: replace %q: nil graph", name)
-	}
-	c.mu.Lock()
-	e, ok := c.entries[name]
-	if !ok {
-		e = &Entry{name: name, g: g, cat: c}
-		c.entries[name] = e
-		c.mu.Unlock()
-		return e, nil
-	}
-	c.mu.Unlock()
-	err := e.Update(func(*lagraph.Graph) error {
-		e.g = g
-		return nil
-	})
-	return e, err
 }
 
 // Get returns the entry registered under name.
@@ -166,7 +139,6 @@ func (c *Catalog) Stats() Stats {
 	return Stats{
 		Graphs:  n,
 		Views:   c.views.Load(),
-		Updates: c.updates.Load(),
 		Ingests: c.ingests.Load(),
 		Warms:   c.warms.Load(),
 	}

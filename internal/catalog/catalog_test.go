@@ -79,72 +79,62 @@ func TestWarmLifecycle(t *testing.T) {
 		t.Fatalf("Warms = %d, want 0", c.Stats().Warms)
 	}
 
-	// A mutation invalidates and bumps the generation.
+	// A mutation invalidates and bumps the generation. An Ingest leaves
+	// its batch pending: the next read assembles it once, under the
+	// exclusive lock, and later reads share the result.
 	before := p.NEdges
-	err = e.Update(func(g *lagraph.Graph) error {
-		// Both directions, to keep the graph symmetric.
-		if err := g.A.SetElement(0, 9, 1); err != nil {
-			return err
-		}
-		return g.A.SetElement(9, 0, 1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Generation() != 1 {
-		t.Fatalf("generation after Update = %d, want 1", e.Generation())
-	}
-	p = e.Properties()
-	if !p.Warm || p.Generation != 1 {
-		t.Fatalf("after update: warm=%v gen=%d", p.Warm, p.Generation)
-	}
-	if p.NEdges < before {
-		t.Fatalf("NEdges shrank: %d → %d", before, p.NEdges)
-	}
-	// Update assembles before it publishes, so the read after it runs no
-	// assembly either.
-	if c.Stats().Warms != 0 {
-		t.Fatalf("Warms after Update = %d, want 0", c.Stats().Warms)
-	}
-
-	// An Ingest leaves its batch pending: the next read assembles it once,
-	// under the exclusive lock, and later reads share the result.
 	err = e.Ingest(func(g *lagraph.Graph) (bool, error) {
+		// Both directions, to keep the graph symmetric.
 		return true, g.A.SetElements([]int{1, 10}, []int{10, 1}, []float64{1, 1}, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if e.Generation() != 1 {
+		t.Fatalf("generation after Ingest = %d, want 1", e.Generation())
+	}
 	for r := 0; r < 2; r++ {
-		if p = e.Properties(); !p.Warm || p.Generation != 2 || !p.Symmetric {
+		if p = e.Properties(); !p.Warm || p.Generation != 1 || !p.Symmetric {
 			t.Fatalf("after ingest: warm=%v gen=%d symmetric=%v", p.Warm, p.Generation, p.Symmetric)
 		}
+	}
+	if p.NEdges < before {
+		t.Fatalf("NEdges shrank: %d → %d", before, p.NEdges)
 	}
 	if c.Stats().Warms != 1 {
 		t.Fatalf("Warms after Ingest and two reads = %d, want 1", c.Stats().Warms)
 	}
 }
 
+// TestReplace: swapping the adjacency through Ingest, as a replace load
+// does, keeps the Entry identity and bumps the generation.
 func TestReplace(t *testing.T) {
 	c := New()
-	e1, err := c.Replace("g", testGraph(t, 3))
+	e1, err := c.Add("g", testGraph(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n1 := e1.Properties().N
-	e2, err := c.Replace("g", testGraph(t, 4))
+	next := testGraph(t, 4)
+	if err := e1.Ingest(func(g *lagraph.Graph) (bool, error) {
+		g.A, g.Kind = next.A, next.Kind
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := c.Get("g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e1 != e2 {
-		t.Fatal("Replace of an existing name must keep the Entry identity")
+		t.Fatal("a swap must keep the Entry identity")
 	}
 	p := e2.Properties()
 	if p.N == n1 {
-		t.Fatal("Replace did not swap the graph")
+		t.Fatal("Ingest did not swap the graph")
 	}
 	if p.Generation == 0 {
-		t.Fatal("Replace of an existing entry must bump the generation")
+		t.Fatal("a swap must bump the generation")
 	}
 }
 
@@ -206,7 +196,7 @@ func bfsChecksum(t testing.TB, e *Entry) string {
 
 // TestConcurrentReadersOneWriter is the -race stress test: 8+ reader
 // goroutines run queries through View while one writer keeps mutating and
-// invalidating through Update. Readers assert that within one generation
+// invalidating through Ingest. Readers assert that within one generation
 // results are bitwise identical to a serial run of the same generation.
 func TestConcurrentReadersOneWriter(t *testing.T) {
 	leakcheck.Check(t)
@@ -254,15 +244,15 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for w := 0; w < writes; w++ {
-			err := e.Update(func(g *lagraph.Graph) error {
+			err := e.Ingest(func(g *lagraph.Graph) (bool, error) {
 				i, j := (w*17+1)%g.N(), (w*31+3)%g.N()
 				if i == j {
 					j = (j + 1) % g.N()
 				}
 				if err := g.A.SetElement(i, j, 1); err != nil {
-					return err
+					return true, err
 				}
-				return g.A.SetElement(j, i, 1)
+				return true, g.A.SetElement(j, i, 1)
 			})
 			if err != nil {
 				errc <- fmt.Errorf("writer: %v", err)
@@ -312,8 +302,8 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if s := c.Stats(); s.Updates != writes {
-		t.Fatalf("Updates = %d, want %d", s.Updates, writes)
+	if s := c.Stats(); s.Ingests != writes {
+		t.Fatalf("Ingests = %d, want %d", s.Ingests, writes)
 	}
 }
 
@@ -351,15 +341,15 @@ func TestSnapshotterVsReadersVsWriter(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for w := 0; w < writes; w++ {
-			err := e.Update(func(g *lagraph.Graph) error {
+			err := e.Ingest(func(g *lagraph.Graph) (bool, error) {
 				i, j := (w*13+2)%g.N(), (w*29+5)%g.N()
 				if i == j {
 					j = (j + 1) % g.N()
 				}
 				if err := g.A.SetElement(i, j, 1); err != nil {
-					return err
+					return true, err
 				}
-				return g.A.SetElement(j, i, 1)
+				return true, g.A.SetElement(j, i, 1)
 			})
 			if err != nil {
 				errc <- fmt.Errorf("writer: %v", err)

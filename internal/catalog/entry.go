@@ -49,7 +49,7 @@ type Properties struct {
 	// Symmetric reports structural+numerical symmetry of the adjacency
 	// (one transpose + compare on first use per generation).
 	Symmetric bool `json:"symmetric"`
-	// Generation counts mutations: it bumps on every Update, so clients
+	// Generation counts mutations: it bumps on every Ingest, so clients
 	// can detect that cached derived data went stale.
 	Generation uint64 `json:"generation"`
 	// Warm reports that the adjacency is assembled: no pending tuples or
@@ -88,7 +88,7 @@ type Entry struct {
 	jseq atomic.Uint64
 	// role is the entry's cluster placement (stored as int32 so the
 	// routing hot path reads it lock-free). RoleReplica turns the entry
-	// read-only for Update/Ingest; only Replicate may mutate it.
+	// read-only for Ingest; only Replicate may mutate it.
 	role atomic.Int32
 	// srcHead is the source primary's last observed journal position for
 	// this graph (replica entries only; the sync loop advances it). The
@@ -118,7 +118,7 @@ func (e *Entry) Name() string { return e.name }
 // getters (AT, degrees, pattern, self-loops, symmetry) build a missing
 // property on first use under the graph's own mutex, so a query pays only
 // for the properties it touches. fn must not mutate the graph; mutations
-// go through Update or Ingest.
+// go through Ingest.
 //
 //grblint:holdslock mu read
 func (e *Entry) View(fn func(g *lagraph.Graph) error) error {
@@ -136,38 +136,14 @@ func (e *Entry) View(fn func(g *lagraph.Graph) error) error {
 	}
 }
 
-// Update runs fn with the exclusive lock held; fn may mutate the graph
-// freely (SetElement on the adjacency, structural edits, even swapping
-// e.g the matrix). On exit — success or error — the entry invalidates the
-// property cache, assembles all pending tuples (Wait before publish:
-// readers must never race a lazy assembly), and bumps the generation.
-//
-//grblint:holdslock mu
-func (e *Entry) Update(fn func(g *lagraph.Graph) error) error {
-	if e.Role() == RoleReplica {
-		return fmt.Errorf("%w: %q", ErrReadOnly, e.name)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	err := fn(e.g)
-	// Even a failed update may have mutated: always invalidate + publish.
-	e.g.InvalidateCache()
-	e.g.A.Wait()
-	e.gen.Add(1)
-	e.cat.updates.Add(1)
-	// An Update is an untracked mutation: cached results stay (stale),
-	// but the delta chain to them is broken.
-	e.invalidateDeltas()
-	return err
-}
-
-// Ingest runs fn with the exclusive lock held, for the streaming edge
-// write path. It differs from Update in one deliberate way: pending
-// tuples are NOT assembled before publish. fn is expected to land edge
-// batches as pending tuples (grb SetElements / RemoveElement), and
-// assembly is deferred to the next reader — that deferral is what makes
-// per-batch ingest latency independent of graph size (paper §II-A: e
-// buffered insertions assemble once in O(e log e), not e times). The
+// Ingest runs fn with the exclusive lock held: the one write path, used
+// by the streaming edge batches and by a replace load, which swaps the
+// adjacency. Pending tuples are NOT assembled before publish. fn is
+// expected to land edge batches as pending tuples (grb SetElements /
+// RemoveElement), and assembly is deferred to the next reader — that
+// deferral is what makes per-batch ingest latency independent of graph
+// size (paper §II-A: e buffered insertions assemble once in
+// O(e log e), not e times). The
 // "Wait before publish" rule is preserved in spirit: the next View sees
 // the pending tuples and assembles them under the exclusive lock before
 // any reader touches the graph.
@@ -337,7 +313,7 @@ type SnapshotInfo struct {
 
 // Snapshot serializes the graph to w under the shared read lock at a
 // pinned generation: concurrent View queries keep running while the
-// bytes stream out, and no Update can interleave (writers queue on the
+// bytes stream out, and no Ingest can interleave (writers queue on the
 // exclusive lock). Because View assembles the adjacency first, it has no
 // pending tuples and serialization is a pure read — two snapshots of
 // the same generation are bitwise identical.

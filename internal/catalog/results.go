@@ -17,7 +17,7 @@ import (
 // BFS) is decided by the delta log: a bounded, generation-contiguous
 // record of the edge batches applied through the streaming write path.
 // One Ingest = one generation bump = one record; any mutation that does
-// not go through that protocol (Update/Replace, a replication apply, a
+// not go through that protocol (a replace load, a replication apply, a
 // failed batch, log overflow) breaks the chain, and DeltaSince answers
 // Unknown for windows it cannot prove insert-only — the query layer then
 // falls back to a full recompute. PageRank warm starts are valid under

@@ -137,26 +137,27 @@ func TestDeltaInvalidation(t *testing.T) {
 	base := e.Generation()
 	ingestDelta(t, e, []int{1}, []int{2}, 0)
 
-	// An untracked Update breaks the chain: every window starting before
+	// An untracked mutation (an Ingest that declares no delta, as a
+	// replace load does) breaks the chain: every window starting before
 	// now is Unknown, including ones that were previously covered.
-	if err := e.Update(func(g *lagraph.Graph) error { return nil }); err != nil {
+	if err := e.Ingest(func(g *lagraph.Graph) (bool, error) { return true, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if d := e.DeltaSince(base); !d.Unknown {
-		t.Fatal("window spanning an Update should be Unknown")
+		t.Fatal("window spanning an untracked mutation should be Unknown")
 	}
 	if d := e.DeltaSince(e.Generation()); d.Unknown {
-		t.Fatal("empty window after Update should still be tracked")
+		t.Fatal("empty window after an untracked mutation should still be tracked")
 	}
 
 	// Tracking resumes for batches after the break.
 	mark := e.Generation()
 	ingestDelta(t, e, []int{7}, []int{8}, 0)
 	if d := e.DeltaSince(mark); d.Unknown || d.Inserts() != 1 {
-		t.Fatalf("post-Update window: %+v", d)
+		t.Fatalf("post-mutation window: %+v", d)
 	}
 	if d := e.DeltaSince(base); !d.Unknown {
-		t.Fatal("pre-Update window must stay Unknown after tracking resumes")
+		t.Fatal("pre-mutation window must stay Unknown after tracking resumes")
 	}
 
 	// An ingest that mutates but does not stage (or fails mid-apply)

@@ -457,7 +457,7 @@ func kroneckerCS[A, B, T any](ca *cs[A], cb *cs[B], mul BinaryOp[A, B, T], nr, n
 	}
 	zi := make([]int, p[nrows])
 	zx := make([]T, p[nrows])
-	parallelWork(nrows, mxmWorkQuantum, func(r int) int { return p[r+1] - p[r] + 1 }, func(lo, hi int) {
+	parallelWorkObs(nrows, mxmWorkQuantum, func(r int) int { return p[r+1] - p[r] + 1 }, nil, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			ai, ax := ca.vec(r / nvb)
 			bi, bx := cb.vec(r % nvb)

@@ -39,8 +39,8 @@ func workers() int {
 // deterministic as long as fn's effects are confined to its range.
 //
 // Use this for uniform per-element cost; for skewed workloads (power-law
-// row degrees) use parallelWork, which balances estimated flops instead of
-// element counts.
+// row degrees) use parallelWorkObs, which balances estimated flops instead
+// of element counts.
 func parallelRanges(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -176,32 +176,11 @@ func runChunks(bounds []int, fn func(c, lo, hi int)) {
 // chunk-order fold of its would-be chunks, so results are unchanged.
 const seqFallbackWork = 1 << 16
 
-// workOversubscribe is how many chunks parallelWork creates per worker.
+// workOversubscribe is how many chunks parallelWorkObs creates per worker.
 // Finer chunks let the dynamic scheduler absorb estimation error (the
 // weight function is an estimate, not a measurement) at the cost of a
 // little scheduling overhead.
 const workOversubscribe = 4
-
-// parallelWork runs fn over [0,n) split at equal-weight boundaries and
-// dynamically scheduled: the flop-balanced counterpart of parallelRanges.
-// quantum is the minimum total weight worth spinning up goroutines for.
-// fn must be safe for concurrent invocation on disjoint ranges.
-func parallelWork(n, quantum int, weight func(k int) int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := workers()
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	bounds := workChunks(n, weight, quantum, w*workOversubscribe)
-	if len(bounds) <= 2 {
-		fn(0, n)
-		return
-	}
-	runChunks(bounds, func(_, lo, hi int) { fn(lo, hi) })
-}
 
 // kernelStats is the scheduler's contribution to an op record: how much
 // estimated work the kernel carried and how it was partitioned. A nil
@@ -237,30 +216,29 @@ func (st *kernelStats) fill(bounds []int, weight func(k int) int) {
 	}
 }
 
-// parallelWorkObs is parallelWork plus optional observation: with st nil
-// it is exactly parallelWork (same branches, same bounds, no extra work);
-// with st non-nil it additionally fills st from the partition it runs.
+// parallelWorkObs runs fn over [0,n) split at equal-weight boundaries and
+// dynamically scheduled: the flop-balanced counterpart of parallelRanges.
+// quantum is the minimum total weight worth spinning up goroutines for.
+// fn must be safe for concurrent invocation on disjoint ranges. A non-nil
+// st is filled from the partition that runs; a nil one costs nothing.
 func parallelWorkObs(n, quantum int, weight func(k int) int, st *kernelStats, fn func(lo, hi int)) {
-	if st == nil {
-		parallelWork(n, quantum, weight, fn)
-		return
-	}
 	if n <= 0 {
 		return
 	}
-	w := workers()
-	if w <= 1 {
-		st.fill([]int{0, n}, weight)
-		fn(0, n)
-		return
+	var bounds []int
+	if w := workers(); w > 1 {
+		bounds = workChunks(n, weight, quantum, w*workOversubscribe)
 	}
-	bounds := workChunks(n, weight, quantum, w*workOversubscribe)
 	if len(bounds) <= 2 {
-		st.fill([]int{0, n}, weight)
+		if st != nil {
+			st.fill([]int{0, n}, weight)
+		}
 		fn(0, n)
 		return
 	}
-	st.fill(bounds, weight)
+	if st != nil {
+		st.fill(bounds, weight)
+	}
 	runChunks(bounds, func(_, lo, hi int) { fn(lo, hi) })
 }
 

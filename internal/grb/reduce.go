@@ -25,7 +25,7 @@ func ReduceMatrixToVector[T, M any](w *Vector[T], mask *Vector[M], accum BinaryO
 	// compact in order (a hub row no longer serializes the reduction).
 	vals := make([]T, nvec)
 	nonempty := make([]bool, nvec)
-	parallelWork(nvec, 1<<12, func(k int) int { return ca.p[k+1] - ca.p[k] + 1 }, func(lo, hi int) {
+	parallelWorkObs(nvec, 1<<12, func(k int) int { return ca.p[k+1] - ca.p[k] + 1 }, nil, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			if ca.p[k+1] == ca.p[k] {
 				continue

@@ -1,8 +1,7 @@
 // Package store is lagraphd's durable graph store: checksummed snapshot
-// frames on disk under a data directory, an atomic-rename write protocol,
-// and a manifest naming the live snapshot per graph, so that a crash at
-// any instant — including kill -9 halfway through a write — can never
-// corrupt the previously good copy.
+// frames on disk under a data directory, one file per graph, replaced by
+// an atomic rename, so that a crash at any instant — including kill -9
+// halfway through a write — can never corrupt the previously good copy.
 //
 // # Frame format (version 1)
 //
@@ -23,14 +22,15 @@
 //
 // # Write protocol
 //
-// A snapshot is written to a temporary file in the same directory, fsynced,
-// closed, and atomically renamed into place; only then is the manifest —
-// itself a checksummed frame, written with the same temp-fsync-rename
-// dance — updated to name the new file. Readers trust the manifest, so the
-// ordering gives crash safety by construction: a crash before the manifest
-// rename leaves the manifest pointing at the old complete snapshot, and a
-// crash after it leaves a complete new snapshot (plus, at worst, an
-// orphaned old file that the next Save sweeps).
+// A snapshot is written to a temporary file in the same directory,
+// fsynced, closed, and atomically renamed over the graph's live file,
+// "<escaped-name>.lgsnap"; a directory fsync makes the rename durable.
+// The directory is its own manifest: the live set is the set of
+// "*.lgsnap" files, so a crash before the rename leaves the old complete
+// snapshot (plus a stray temp file nothing reads), and a crash after it
+// leaves the new one. Removing a graph unlinks its file. Open migrates a
+// directory written by an earlier release, whose MANIFEST named one of
+// several "*.snap" files per graph (migrate.go).
 package store
 
 import (
@@ -72,10 +72,12 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // kind does not use stay zero.
 type Meta struct {
 	// Name is the registered graph name (or an artifact label for
-	// non-graph payloads such as the manifest or golden test vectors).
+	// non-graph payloads such as golden test vectors).
 	Name string `json:"name"`
 	// Kind discriminates the payload: "directed" | "undirected" for graph
-	// images, "manifest" for the store manifest, free-form for others.
+	// images, "manifest" for the MANIFEST of an earlier release's data
+	// directory (read only by the migration in Open), free-form for
+	// others.
 	Kind string `json:"kind"`
 	// NRows, NCols, NVals describe the serialized object's shape; for
 	// graphs, dimensions and stored-edge count of the adjacency.

@@ -253,9 +253,10 @@ func (p *Persister) MarkApplied(name string, lsn uint64) {
 // mark moves into the source primary's space) or adopting a moved graph
 // as the new primary (the mark rebases onto the local log head, because
 // this node is now the single writer and all shipped history is baked
-// into the adopted snapshot). The live snapshot's floor belongs to the
-// old space, so its record is forgotten: the next snapshot commits at
-// any generation, and one pinned before the reset is vetoed.
+// into the adopted snapshot). A replace load calls it too, keeping the
+// mark, under the entry lock that swaps the contents. Either way the
+// live snapshot's record is forgotten: the next snapshot commits at any
+// generation, and one pinned before the reset is vetoed.
 func (p *Persister) ResetJournalFloor(name string, lsn uint64) {
 	p.mu.Lock()
 	p.incarnation[name]++
@@ -266,9 +267,9 @@ func (p *Persister) ResetJournalFloor(name string, lsn uint64) {
 
 // HasDurable reports whether the named graph's current incarnation has a
 // durable snapshot. The edges handler consults it to force a baseline
-// snapshot before the FIRST journaled batch of a freshly loaded (or
-// rebased) graph — without one, the WAL would hold mutations for a graph
-// recovery cannot reconstruct.
+// snapshot before the FIRST journaled batch of a freshly loaded,
+// replaced or rebased graph — without one, the WAL would hold mutations
+// for a graph recovery cannot reconstruct.
 func (p *Persister) HasDurable(name string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -442,8 +443,8 @@ func (p *Persister) FlushDirty() (FlushResult, error) {
 }
 
 // Remove forgets a graph's durable copy (mirrors a catalog Drop). The
-// incarnation bump runs under the store mutex before the manifest entry
-// goes, so a snapshot serialized before the drop is vetoed, and one of a
+// incarnation bump runs under the store mutex before the file goes, so
+// a snapshot serialized before the drop is vetoed, and one of a
 // same-name graph re-created meanwhile lands wholly before or after the
 // removal. The WAL mark goes too: a dropped graph must not pin the
 // truncation floor (its records replay as skipped-unknown). Reports

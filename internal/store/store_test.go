@@ -28,6 +28,14 @@ func testGraph(t testing.TB, scale int) *lagraph.Graph {
 	return g
 }
 
+// mutate applies fn to e's graph through the catalog's write path.
+func mutate(t testing.TB, e *catalog.Entry, fn func(g *lagraph.Graph) error) {
+	t.Helper()
+	if err := e.Ingest(func(g *lagraph.Graph) (bool, error) { return true, fn(g) }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // graphBytes serializes a graph the way Entry.Snapshot does.
 func graphBytes(t testing.TB, g *lagraph.Graph) []byte {
 	t.Helper()
@@ -74,10 +82,10 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreReopenSeesManifest proves the manifest survives a clean
+// TestStoreReopenServesSnapshot proves a snapshot survives a clean
 // process boundary: a second Open on the same directory serves the same
 // bytes.
-func TestStoreReopenSeesManifest(t *testing.T) {
+func TestStoreReopenServesSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
@@ -101,112 +109,152 @@ func TestStoreReopenSeesManifest(t *testing.T) {
 	}
 }
 
-// TestCrashMidWriteKeepsPreviousGood simulates every interleaving a
-// kill -9 can leave behind and proves the previously good copy survives:
+// TestCrashMidWriteKeepsPreviousGood rebuilds every state a kill -9 can
+// leave in the data directory and proves each reboot recovers a complete
+// copy of every graph it should, and nothing else:
 //
-//  1. crash before the snapshot rename: a stray temp file, manifest
-//     untouched;
-//  2. crash after the snapshot rename but before the manifest rename: a
-//     newer complete snapshot exists, but the manifest still names the
-//     old one — readers keep the old consistent copy;
-//  3. crash mid-manifest-write: a stray manifest temp file, the real
-//     MANIFEST intact.
+//   - mid-write: stray temp files (one torn, one complete but never
+//     renamed) next to the live file, which keeps serving the old copy;
+//   - after the rename, before anything else: the new copy is live;
+//   - a Remove before its unlink: the graph recovers whole;
+//   - a Remove after its unlink: the graph never comes back, even with
+//     a complete temp file of it left behind by a vetoed snapshot.
 func TestCrashMidWriteKeepsPreviousGood(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	good := graphBytes(t, testGraph(t, 4))
-	if _, err := st.Save(Meta{Name: "g", Kind: "undirected", Generation: 1}, good); err != nil {
-		t.Fatal(err)
-	}
-
-	// State 1: torn temp file from a crash mid-write.
-	if err := os.WriteFile(filepath.Join(dir, ".tmp-crash1"), []byte("torn half-written frame"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// State 2: a complete newer snapshot the manifest never adopted.
 	newer := graphBytes(t, testGraph(t, 5))
-	var fbuf bytes.Buffer
-	if err := WriteFrame(&fbuf, Meta{Name: "g", Kind: "undirected", Generation: 2}, newer); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapFileName("g", 2, 0)), fbuf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// State 3: torn manifest temp file.
-	if err := os.WriteFile(filepath.Join(dir, ".tmp-manifest"), []byte("torn manifest"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, payload, err := st2.Load("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Generation != 1 || !bytes.Equal(payload, good) {
-		t.Fatalf("recovery picked the wrong copy: generation %d", meta.Generation)
+	g2 := Meta{Name: "g", Kind: "undirected", Generation: 2}
+	for _, tc := range []struct {
+		name  string
+		crash func(t *testing.T, dir string, st *Store)
+		want  map[string]uint64 // graph → recovered generation
+	}{
+		{"temp file not renamed", func(t *testing.T, dir string, st *Store) {
+			if err := os.WriteFile(filepath.Join(dir, ".tmp-torn"), []byte("torn half-written frame"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			writeFrameFile(t, filepath.Join(dir, ".tmp-complete"), g2, newer)
+		}, map[string]uint64{"g": 1, "h": 1}},
+		{"rename landed", func(t *testing.T, dir string, st *Store) {
+			if _, err := st.Save(g2, newer); err != nil {
+				t.Fatal(err)
+			}
+		}, map[string]uint64{"g": 2, "h": 1}},
+		{"remove before unlink", func(t *testing.T, dir string, st *Store) {}, map[string]uint64{"g": 1, "h": 1}},
+		{"remove after unlink", func(t *testing.T, dir string, st *Store) {
+			writeFrameFile(t, filepath.Join(dir, ".tmp-vetoed"), g2, newer)
+			if removed, err := st.Remove("g", func() {}); err != nil || !removed {
+				t.Fatalf("remove: %v, %v", removed, err)
+			}
+		}, map[string]uint64{"h": 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := Must(Open(dir))
+			for _, name := range []string{"g", "h"} {
+				if _, err := st.Save(Meta{Name: name, Kind: "undirected", Generation: 1}, good); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.crash(t, dir, st)
+			got := map[string]uint64{}
+			events, err := Must(Open(dir)).LoadAll(func(meta Meta, payload []byte) error {
+				got[meta.Name] = meta.Generation
+				if want := map[uint64][]byte{1: good, 2: newer}[meta.Generation]; !bytes.Equal(payload, want) {
+					t.Errorf("%s: generation %d payload is not the one written", meta.Name, meta.Generation)
+				}
+				return nil
+			})
+			if err != nil || len(events) != len(tc.want) {
+				t.Fatalf("recovery: %+v, %v", events, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("recovered %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
-// TestCorruptManifestRescues: a destroyed MANIFEST falls back to the
-// directory rescan, which adopts the highest-generation valid snapshot
-// per graph and quarantines damaged ones.
-func TestCorruptManifestRescues(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
+// writeFrameFile writes one frame to path.
+func writeFrameFile(t *testing.T, path string, meta Meta, payload []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, meta, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeLegacyDir lays out a data directory the way earlier releases did:
+// one frame file per entry of files, all with the given payload, plus a
+// MANIFEST frame holding manifest, unless it is nil.
+func writeLegacyDir(t *testing.T, dir string, files map[string]Meta, payload []byte, manifest []byte) {
+	t.Helper()
+	for file, meta := range files {
+		writeFrameFile(t, filepath.Join(dir, file), meta, payload)
+	}
+	if manifest != nil {
+		writeFrameFile(t, filepath.Join(dir, legacyManifest), Meta{Name: legacyManifest, Kind: "manifest", Generation: 9}, manifest)
+	}
+}
+
+// dirFiles lists a directory's file names, sorted.
+func dirFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var names []string
+	for _, ent := range ents {
+		names = append(names, ent.Name())
+	}
+	return names
+}
+
+// TestMigrateCorruptLegacyManifest: when an earlier release's MANIFEST is
+// destroyed, the migration falls back to the rescan those releases did —
+// the highest-generation valid snapshot per graph wins and damaged files
+// are quarantined, the manifest with them — and leaves only the new
+// layout behind.
+func TestMigrateCorruptLegacyManifest(t *testing.T) {
+	dir := t.TempDir()
 	gold := graphBytes(t, testGraph(t, 4))
-	if _, err := st.Save(Meta{Name: "keep", Kind: "undirected", Generation: 5}, gold); err != nil {
-		t.Fatal(err)
-	}
-	// An older generation of the same graph lingering on disk (crash
-	// between manifest write and old-file delete).
-	var older bytes.Buffer
-	if err := WriteFrame(&older, Meta{Name: "keep", Kind: "undirected", Generation: 2}, graphBytes(t, testGraph(t, 3))); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapFileName("keep", 2, 0)), older.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A damaged snapshot of another graph.
-	if err := os.WriteFile(filepath.Join(dir, snapFileName("broken", 1, 0)), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Destroy the manifest.
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("not a manifest"), 0o644); err != nil {
-		t.Fatal(err)
+	writeLegacyDir(t, dir, map[string]Meta{
+		"keep-5.2.snap": {Name: "keep", Kind: "undirected", Generation: 5, Journal: 2},
+		// An older generation lingering on disk (a crash between the
+		// manifest write and the old file's delete).
+		"keep-2.snap": {Name: "keep", Kind: "undirected", Generation: 2},
+	}, gold, nil)
+	for file, data := range map[string]string{
+		"broken-1.0.snap": "junk",
+		legacyManifest:    "not a manifest",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, file), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	st2, err := Open(dir)
+	st := Must(Open(dir))
+	meta, payload, err := st.Load("keep")
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, payload, err := st2.Load("keep")
-	if err != nil {
-		t.Fatal(err)
+	if meta.Generation != 5 || meta.Journal != 2 || !bytes.Equal(payload, gold) {
+		t.Fatalf("rescan picked %+v, want generation 5 at floor 2", meta)
 	}
-	if meta.Generation != 5 || !bytes.Equal(payload, gold) {
-		t.Fatalf("rescan picked generation %d, want 5", meta.Generation)
+	if names := st.Names(); len(names) != 1 {
+		t.Fatalf("live graphs after migration: %v, want [keep]", names)
 	}
-	if _, _, err := st2.Load("broken"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("broken snapshot survived rescan: %v", err)
+	// The damaged file and manifest are quarantined, not deleted; the
+	// superseded snapshot is gone.
+	want := []string{legacyManifest + ".corrupt", "broken-1.0.snap.corrupt", "keep.lgsnap"}
+	if got := dirFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("directory after migration: %v, want %v", got, want)
 	}
-	// The damaged file and manifest are quarantined, not deleted.
-	if _, err := os.Stat(filepath.Join(dir, snapFileName("broken", 1, 0)+".corrupt")); err != nil {
-		t.Error("damaged snapshot not quarantined")
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName+".corrupt")); err != nil {
-		t.Error("damaged manifest not quarantined")
-	}
-	if st2.Stats().Quarantined < 2 {
-		t.Errorf("quarantine counter = %d, want >= 2", st2.Stats().Quarantined)
+	if st.Stats().Quarantined != 2 {
+		t.Errorf("quarantine counter = %d, want 2", st.Stats().Quarantined)
 	}
 }
 
@@ -224,11 +272,9 @@ func TestSnapshotPinnedBeforeNewerIsVetoed(t *testing.T) {
 	}
 	setEdge := func(j int) {
 		t.Helper()
-		if err := e.Update(func(g *lagraph.Graph) error {
+		mutate(t, e, func(g *lagraph.Graph) error {
 			return g.A.SetElement(0, j, float64(j))
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	setEdge(1) // generation 1: the slow snapshot pins this
 	var newer SnapResult
@@ -313,14 +359,12 @@ func TestPersisterLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Update(func(g *lagraph.Graph) error {
+	mutate(t, e, func(g *lagraph.Graph) error {
 		if err := g.A.SetElement(0, 1, 1); err != nil {
 			return err
 		}
 		return g.A.SetElement(1, 0, 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if d := p.Dirty(); len(d) != 1 || d[0] != "a" {
 		t.Fatalf("dirty after update = %v, want [a]", d)
 	}
@@ -388,11 +432,7 @@ func TestLoadAllQuarantinesBadSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip one payload bit in doomed's snapshot file.
-	meta, _, err := st.Load("doomed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, snapFileName("doomed", meta.Generation, meta.Journal))
+	path := filepath.Join(dir, fileName("doomed"))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -401,6 +441,17 @@ func TestLoadAllQuarantinesBadSnapshot(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A valid frame under another graph's file name, and a file whose
+	// name no graph name escapes to, are corrupt too.
+	goodRaw, err := os.ReadFile(filepath.Join(dir, fileName("good")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{fileName("impostor"), "x_zz" + snapExt} {
+		if err := os.WriteFile(filepath.Join(dir, file), goodRaw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	cat2 := catalog.New()
 	p2 := NewPersister(Must(Open(dir)), cat2)
@@ -408,17 +459,21 @@ func TestLoadAllQuarantinesBadSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var goodOK, doomedQuarantined bool
+	quarantined := 0
+	goodOK := false
 	for _, ev := range events {
-		switch ev.Name {
-		case "good":
+		switch {
+		case ev.Name == "good":
 			goodOK = ev.Err == nil
-		case "doomed":
-			doomedQuarantined = ev.Err != nil && errors.Is(ev.Err, ErrCorrupt)
+		case errors.Is(ev.Err, ErrCorrupt) && ev.Quarantined:
+			quarantined++
 		}
 	}
-	if !goodOK || !doomedQuarantined {
+	if len(events) != 4 || !goodOK || quarantined != 3 {
 		t.Fatalf("recovery events: %+v", events)
+	}
+	if _, err := cat2.Get("impostor"); !errors.Is(err, catalog.ErrNotFound) {
+		t.Fatal("a frame recovered under another graph's file name")
 	}
 	if _, err := cat2.Get("good"); err != nil {
 		t.Fatal("good graph not recovered")
@@ -442,7 +497,7 @@ func TestLoadAllQuarantinesBadSnapshot(t *testing.T) {
 
 // TestRecoverySeedsGenerationsAcrossRestart is the regression test for
 // the silent post-restart data-loss bug: in-memory generations restart at
-// zero each process life, so a Save guard comparing them against manifest
+// zero each process life, so a Save guard comparing them against
 // generations persisted by the previous life used to drop every
 // post-recovery snapshot whose (fresh, small) generation trailed the old
 // (large) one — and a crash then rolled the graph back. Recovery now
@@ -459,11 +514,9 @@ func TestRecoverySeedsGenerationsAcrossRestart(t *testing.T) {
 	}
 	e1, _ := cat1.Get("g")
 	for i := 0; i < 3; i++ {
-		if err := e1.Update(func(g *lagraph.Graph) error {
+		mutate(t, e1, func(g *lagraph.Graph) error {
 			return g.A.SetElement(0, i+1, float64(i+1))
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	if _, err := p1.FlushDirty(); err != nil {
 		t.Fatal(err)
@@ -487,9 +540,10 @@ func TestRecoverySeedsGenerationsAcrossRestart(t *testing.T) {
 	}
 	replacement := testGraph(t, 5)
 	wantEdges := replacement.NEdges()
-	if _, err := cat2.Replace("g", replacement); err != nil {
-		t.Fatal(err)
-	}
+	mutate(t, e2, func(g *lagraph.Graph) error {
+		g.A, g.Kind = replacement.A, replacement.Kind
+		return nil
+	})
 	if d := p2.Dirty(); len(d) != 1 || d[0] != "g" {
 		t.Fatalf("dirty after replace = %v, want [g]", d)
 	}
@@ -516,12 +570,12 @@ func TestRecoverySeedsGenerationsAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestStaleManifestEntryDoesNotBlockRecreatedGraph: a manifest entry
-// kept from a previous life because recovery failed for a reason other
+// TestKeptSnapshotDoesNotBlockRecreatedGraph: a snapshot file kept
+// from a previous life because recovery failed for a reason other
 // than corruption (here a catalog conflict) records a generation no
 // graph in this life descends from. The first snapshot of the same-name
 // graph created in this life must replace it, whatever the generations.
-func TestStaleManifestEntryDoesNotBlockRecreatedGraph(t *testing.T) {
+func TestKeptSnapshotDoesNotBlockRecreatedGraph(t *testing.T) {
 	dir := t.TempDir()
 
 	// Life 1: a graph at generation 57.
@@ -596,11 +650,9 @@ func TestSnapshotPinnedBeforeRebaseIsVetoed(t *testing.T) {
 	if _, err := p.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Update(func(g *lagraph.Graph) error {
+	mutate(t, e, func(g *lagraph.Graph) error {
 		return g.A.SetElement(0, 1, 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	// The rebase lands after serialization, before the store commit,
 	// exactly as the cluster's adoption does it.
 	const head = 40
@@ -634,30 +686,23 @@ func TestSnapshotPinnedBeforeRebaseIsVetoed(t *testing.T) {
 	}
 }
 
-// TestOpensPreviousReleaseDataDir opens a data directory in the layout the
-// previous release wrote: a manifest with per-boot "epoch" keys and a nonzero
-// frame generation, and a snapshot named "<name>-<gen>.snap". The frame
-// format is unchanged, so recovery is bit-for-bit, and the first
-// snapshot after the boot writes and replaces the old file.
+// TestOpensPreviousReleaseDataDir opens a data directory in the oldest
+// layout: a manifest with per-boot "epoch" keys and a nonzero frame
+// generation, and a snapshot named "<name>-<gen>.snap". The
+// frame format is unchanged, so recovery is bit-for-bit; Open leaves only
+// the new layout behind, and the first snapshot after the boot replaces
+// the migrated file.
 func TestOpensPreviousReleaseDataDir(t *testing.T) {
 	dir := t.TempDir()
 	payload := graphBytes(t, testGraph(t, 4))
-	writeFrameFile := func(file string, meta Meta, payload []byte) {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, meta, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, file), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFrameFile("g-5.snap", Meta{Name: "g", Kind: "undirected", Generation: 5}, payload)
-	writeFrameFile(manifestName, Meta{Name: manifestName, Kind: "manifest", Generation: 9},
+	writeLegacyDir(t, dir, map[string]Meta{"g-5.snap": {Name: "g", Kind: "undirected", Generation: 5}}, payload,
 		[]byte(`{"epoch":3,"graphs":{"g":{"file":"g-5.snap","generation":5,"epoch":3}}}`))
 
 	cat := catalog.New()
 	p := NewPersister(Must(Open(dir)), cat)
+	if got := dirFiles(t, dir); fmt.Sprint(got) != "[g.lgsnap]" {
+		t.Fatalf("directory after migration: %v", got)
+	}
 	events, err := p.LoadAll()
 	if err != nil || len(events) != 1 || events[0].Err != nil {
 		t.Fatalf("recovery: %+v, %v", events, err)
@@ -673,17 +718,12 @@ func TestOpensPreviousReleaseDataDir(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), payload) || e.Generation() != 5 {
 		t.Fatalf("recovered generation %d, bytes equal %v; want 5, true", e.Generation(), bytes.Equal(got.Bytes(), payload))
 	}
-	if err := e.Update(func(g *lagraph.Graph) error {
+	mutate(t, e, func(g *lagraph.Graph) error {
 		return g.A.SetElement(0, 1, 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	sr, err := p.SnapshotOne("g")
 	if err != nil || !sr.Written || sr.Generation != 6 {
 		t.Fatalf("first snapshot after the upgrade: %+v, %v", sr, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "g-5.snap")); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("old-scheme snapshot file not replaced: %v", err)
 	}
 	events, err = NewPersister(Must(Open(dir)), catalog.New()).LoadAll()
 	if err != nil || len(events) != 1 || events[0].Err != nil || events[0].Meta.Generation != 6 {
@@ -691,9 +731,119 @@ func TestOpensPreviousReleaseDataDir(t *testing.T) {
 	}
 }
 
+// legacyFloorNamedDir lays out a directory in the last manifest layout:
+// "<name>-<gen>.<journal>.snap" files plus a manifest, for two graphs that each still have a superseded file on disk
+// (the manifest was repointed, the crash came before the old file's
+// delete). Graph "a-1" is there to prove the renames keep its file apart
+// from graph "a"'s.
+func legacyFloorNamedDir(t *testing.T, dir string, payload []byte) {
+	t.Helper()
+	writeLegacyDir(t, dir, map[string]Meta{
+		"a-7.40.snap":     {Name: "a", Kind: "undirected", Generation: 7, Journal: 40},
+		"a-3.10.snap":     {Name: "a", Kind: "undirected", Generation: 3, Journal: 10},
+		"a-1-2.0.snap":    {Name: "a-1", Kind: "undirected", Generation: 2},
+		"b_2fc-9.41.snap": {Name: "b/c", Kind: "undirected", Generation: 9, Journal: 41},
+		"b_2fc-8.41.snap": {Name: "b/c", Kind: "undirected", Generation: 8, Journal: 41},
+	}, payload, []byte(`{"graphs":{`+
+		`"a":{"file":"a-7.40.snap","generation":7},`+
+		`"a-1":{"file":"a-1-2.0.snap","generation":2},`+
+		`"b/c":{"file":"b_2fc-9.41.snap","generation":9}}}`))
+}
+
+// wantMigrated opens dir and checks that it then holds exactly the
+// migrated live set of legacyFloorNamedDir (plus the quarantined manifest, when
+// it was damaged) and that every graph recovers bit-for-bit.
+func wantMigrated(t *testing.T, dir string, payload []byte, damaged bool) {
+	t.Helper()
+	st := Must(Open(dir))
+	want := []string{"a-1.lgsnap", "a.lgsnap", "b_2fc.lgsnap"}
+	if damaged {
+		want = append([]string{legacyManifest + ".corrupt"}, want...)
+	}
+	if got := dirFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("directory after migration: %v, want %v", got, want)
+	}
+	got := map[string]string{}
+	events, err := st.LoadAll(func(meta Meta, p []byte) error {
+		if !bytes.Equal(p, payload) {
+			t.Errorf("%s: payload changed in migration", meta.Name)
+		}
+		got[meta.Name] = fmt.Sprintf("%d.%d", meta.Generation, meta.Journal)
+		return nil
+	})
+	if err != nil || len(events) != 3 {
+		t.Fatalf("recovery: %+v, %v", events, err)
+	}
+	if fmt.Sprint(got) != "map[a:7.40 a-1:2.0 b/c:9.41]" {
+		t.Fatalf("recovered %v", got)
+	}
+}
+
+// TestMigrateFloorNamedDataDir: the manifest names the live file per graph, and
+// only those survive, under their new names.
+func TestMigrateFloorNamedDataDir(t *testing.T) {
+	dir := t.TempDir()
+	payload := graphBytes(t, testGraph(t, 3))
+	legacyFloorNamedDir(t, dir, payload)
+	wantMigrated(t, dir, payload, false)
+}
+
+// TestMigrationResumesAfterCrash rebuilds the states a crash partway
+// through the migration leaves — some live files renamed, some superseded
+// files deleted, the manifest (intact or damaged) still present — and
+// proves the next Open finishes the job without resurrecting a
+// superseded snapshot. The damaged-manifest cases are the sharp ones: the
+// rescan then sees only the superseded "a-3.10.snap" for graph "a", and
+// must not rename it over the already-migrated generation 7.
+func TestMigrationResumesAfterCrash(t *testing.T) {
+	payload := graphBytes(t, testGraph(t, 3))
+	rename := func(from, to string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			if err := os.Rename(filepath.Join(dir, from), filepath.Join(dir, to)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	remove := func(file string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, file)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	damage := func(t *testing.T, dir string) {
+		if err := os.WriteFile(filepath.Join(dir, legacyManifest), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	renamedA := rename("a-7.40.snap", "a.lgsnap")
+	allRenamed := []func(*testing.T, string){renamedA,
+		rename("a-1-2.0.snap", "a-1.lgsnap"), rename("b_2fc-9.41.snap", "b_2fc.lgsnap")}
+	for _, tc := range []struct {
+		name    string
+		damaged bool
+		steps   []func(*testing.T, string)
+	}{
+		{"one live file renamed", false, []func(*testing.T, string){renamedA}},
+		{"all renamed, one superseded file deleted", false, append(allRenamed[:3:3], remove("a-3.10.snap"))},
+		{"all legacy files gone, manifest left", false, append(allRenamed[:3:3], remove("a-3.10.snap"), remove("b_2fc-8.41.snap"))},
+		{"damaged manifest, one live file renamed", true, []func(*testing.T, string){damage, renamedA}},
+		{"damaged manifest, all renamed", true, append([]func(*testing.T, string){damage}, allRenamed...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			legacyFloorNamedDir(t, dir, payload)
+			for _, step := range tc.steps {
+				step(t, dir)
+			}
+			wantMigrated(t, dir, payload, tc.damaged)
+		})
+	}
+}
+
 // TestDropDuringSnapshotDoesNotResurrect: a Remove landing between a
 // snapshot's serialization and its store commit must veto the commit —
-// otherwise the dropped graph's snapshot re-enters the manifest and the
+// otherwise the dropped graph's snapshot file comes back and the
 // graph resurrects on the next boot.
 func TestDropDuringSnapshotDoesNotResurrect(t *testing.T) {
 	leakcheck.Check(t)
@@ -709,11 +859,9 @@ func TestDropDuringSnapshotDoesNotResurrect(t *testing.T) {
 	}
 	// Dirty the graph so the snapshot below has something to write.
 	e, _ := cat.Get("g")
-	if err := e.Update(func(g *lagraph.Graph) error {
+	mutate(t, e, func(g *lagraph.Graph) error {
 		return g.A.SetElement(0, 1, 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	// The drop lands after serialization, before the store commit.
 	p.afterSerialize = func(name string) {
 		p.afterSerialize = nil
@@ -732,7 +880,7 @@ func TestDropDuringSnapshotDoesNotResurrect(t *testing.T) {
 		t.Fatalf("vetoed snapshot reported written: %+v", sr)
 	}
 	if names := st.Names(); len(names) != 0 {
-		t.Fatalf("dropped graph re-entered the manifest: %v", names)
+		t.Fatalf("dropped graph re-entered the store: %v", names)
 	}
 	// No stale dirty-tracking state either: a re-add of the same name is
 	// dirty and flushable as if the name were brand new.
@@ -754,8 +902,8 @@ func TestDropDuringSnapshotDoesNotResurrect(t *testing.T) {
 
 // TestLoadAllKeepsFileOnNonCorruptError: only corruption quarantines. A
 // decode callback failing for any other reason (catalog conflict,
-// transient resource trouble) must leave the valid durable copy and its
-// manifest entry untouched, so a later boot can still recover it.
+// transient resource trouble) must leave the valid durable copy
+// untouched, so a later boot can still recover it.
 func TestLoadAllKeepsFileOnNonCorruptError(t *testing.T) {
 	dir := t.TempDir()
 	st := Must(Open(dir))
@@ -771,11 +919,11 @@ func TestLoadAllKeepsFileOnNonCorruptError(t *testing.T) {
 	if len(events) != 1 || !errors.Is(events[0].Err, transient) || events[0].Quarantined {
 		t.Fatalf("events: %+v", events)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapFileName("g", 1, 0))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, fileName("g"))); err != nil {
 		t.Fatal("valid snapshot destroyed over a non-corruption error")
 	}
 	if _, _, err := st.Load("g"); err != nil {
-		t.Fatalf("manifest entry dropped over a non-corruption error: %v", err)
+		t.Fatalf("snapshot unreadable after a non-corruption error: %v", err)
 	}
 	// The next attempt (here: a permissive callback) recovers normally.
 	events, err = st.LoadAll(func(Meta, []byte) error { return nil })
@@ -828,11 +976,9 @@ func TestDirtyUnlocksBeforeCatalogScan(t *testing.T) {
 		t.Fatalf("flushed graphs still dirty: %v", got)
 	}
 	e := Must(cat.Get("a"))
-	if err := e.Update(func(g *lagraph.Graph) error {
+	mutate(t, e, func(g *lagraph.Graph) error {
 		return g.A.SetElement(0, 1, 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if got := strings.Join(p.Dirty(), ","); got != "a" {
 		t.Fatalf("after update, dirty = %q, want \"a\"", got)
 	}
@@ -894,6 +1040,17 @@ func TestStoreNameEscaping(t *testing.T) {
 	for _, name := range hostile {
 		if _, _, err := st.Load(name); err != nil {
 			t.Fatalf("load %q: %v", name, err)
+		}
+		if got, ok := unescapeName(escapeName(name)); !ok || got != name {
+			t.Fatalf("unescape(escape(%q)) = %q, %v", name, got, ok)
+		}
+	}
+	if got := fmt.Sprintf("%q", st.Names()); got != `["" "../escape" ".hidden" "_5f" "a/b/c" "name with spaces"]` {
+		t.Fatalf("Names = %q", got)
+	}
+	for _, foreign := range []string{"", "a_", "a_5", "_zz", "_61", "_5F", ".x", "a/b"} {
+		if name, ok := unescapeName(foreign); ok {
+			t.Fatalf("unescape(%q) = %q, want rejection", foreign, name)
 		}
 	}
 	// Nothing escaped the directory.

@@ -119,9 +119,10 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) int {
 	// A graph with journaled mutations but no snapshot would be
 	// unrecoverable (replay has nothing to land on), so the FIRST
 	// journaled batch of a graph with no durable snapshot (never
-	// snapshotted, or rebased into this node's LSN space) forces a
-	// baseline snapshot. Races between two first batches are harmless:
-	// the Persister commits at most one snapshot per generation.
+	// snapshotted, replaced by a load, or rebased into this node's LSN
+	// space) forces a baseline snapshot. Races between two first batches
+	// are harmless: the Persister commits at most one snapshot per
+	// generation.
 	p := s.cfg.Persister
 	if p != nil && p.WAL() != nil && !p.HasDurable(e.Name()) {
 		if _, serr := p.SnapshotOne(e.Name()); serr != nil {

@@ -278,6 +278,63 @@ func TestEdgesDurableCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestReplaceLoadKeepsDurableBatches: a replace load swaps a durable
+// graph's contents, and the batches acknowledged after it must replay
+// onto the new contents after a crash. Without a new durable incarnation
+// the old snapshot stays live and the next batch skips its baseline
+// snapshot: a smaller replacement then recovers as the old graph, and a
+// larger one fails the boot, because the batch names vertices the old
+// graph does not have.
+func TestReplaceLoadKeepsDurableBatches(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		from, to int // generator scales of the original and the replacement
+	}{
+		{"smaller", 6, 5},
+		{"larger", 5, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, ts, _ := newDurableServer(t, dir)
+			loadGraph(t, ts.URL, "g", tc.from)
+			batch := func(dst int) {
+				t.Helper()
+				code, resp := postEdges(t, ts.URL, "g", map[string]any{
+					"edges": []map[string]any{{"src": 0, "dst": dst}},
+				})
+				if code != http.StatusOK || !resp.Durable {
+					t.Fatalf("batch to %d: status %d, %+v", dst, code, resp)
+				}
+			}
+			batch(3) // snapshots the original, then journals onto it
+			var replaced catalog.Properties
+			if code := post(t, ts.URL+"/v1/graphs", map[string]any{
+				"name": "g", "undirected": true, "replace": true,
+				"generator": map[string]any{"kind": "powerlaw", "scale": tc.to, "edge_factor": 8, "seed": 7},
+			}, &replaced); code != http.StatusCreated || replaced.N != 1<<tc.to {
+				t.Fatalf("replace: status %d, %+v", code, replaced)
+			}
+			batch(replaced.N - 8)
+			var pre catalog.Properties
+			get(t, ts.URL+"/v1/graphs/g", &pre)
+			preCC := queryChecksum(t, ts.URL, "g", "cc")
+			ts.Close() // crash: no flush, no drain
+
+			_, ts2, _ := newDurableServer(t, dir)
+			var post catalog.Properties
+			if code := get(t, ts2.URL+"/v1/graphs/g", &post); code != http.StatusOK {
+				t.Fatalf("post-crash info: %d", code)
+			}
+			if post.N != pre.N || post.NEdges != pre.NEdges {
+				t.Fatalf("recovered %d vertices, %d edges; want the replacement's %d, %d", post.N, post.NEdges, pre.N, pre.NEdges)
+			}
+			if cc := queryChecksum(t, ts2.URL, "g", "cc"); cc != preCC {
+				t.Fatalf("post-crash cc checksum %s != pre-crash %s", cc, preCC)
+			}
+		})
+	}
+}
+
 // TestEdgesNoSyncNotDurable: with -wal-sync=false the batch is journaled
 // (LSN assigned) but never fsynced, so the response must not claim the
 // "fsynced before this response was written" contract.

@@ -211,16 +211,32 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return fail(w, err)
 	}
-	var e *catalog.Entry
-	if req.Replace {
-		e, err = s.cat.Replace(req.Name, g)
-	} else {
-		e, err = s.cat.Add(req.Name, g)
+	e, err := s.cat.Add(req.Name, g)
+	if req.Replace && errors.Is(err, catalog.ErrExists) {
+		e, err = s.replaceGraph(req.Name, g)
 	}
 	if err != nil {
 		return fail(w, err)
 	}
 	return writeJSON(w, http.StatusCreated, e.Properties())
+}
+
+// replaceGraph swaps g's adjacency into the registered graph name under
+// the entry's exclusive lock, and in the same hold starts a new durable
+// incarnation: the old snapshot no longer describes the graph, so the
+// next edge batch snapshots the new contents before it is journaled.
+func (s *Server) replaceGraph(name string, g *lagraph.Graph) (*catalog.Entry, error) {
+	e, err := s.cat.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	return e, e.Ingest(func(cur *lagraph.Graph) (bool, error) {
+		cur.A, cur.Kind = g.A, g.Kind
+		if p := s.cfg.Persister; p != nil {
+			p.ResetJournalFloor(name, e.JournalSeq())
+		}
+		return true, nil
+	})
 }
 
 // buildGraph realizes a LoadRequest source.
@@ -571,8 +587,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 	p("lagraphd_graphs %d\n", cat.Graphs)
 	p("# TYPE lagraphd_catalog_views_total counter\n")
 	p("lagraphd_catalog_views_total %d\n", cat.Views)
-	p("# TYPE lagraphd_catalog_updates_total counter\n")
-	p("lagraphd_catalog_updates_total %d\n", cat.Updates)
 	p("# HELP lagraphd_catalog_warms_total Pending-tuple assemblies a read ran under a graph's exclusive lock.\n# TYPE lagraphd_catalog_warms_total counter\n")
 	p("lagraphd_catalog_warms_total %d\n", cat.Warms)
 

@@ -105,7 +105,7 @@ func TestCrashRecovery(t *testing.T) {
 	ts2.Close()
 
 	// Corrupt bravo's snapshot: flip one payload byte on disk.
-	snaps, err := filepath.Glob(filepath.Join(dir, "bravo-*.snap"))
+	snaps, err := filepath.Glob(filepath.Join(dir, "bravo*.lgsnap"))
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("bravo snapshots on disk: %v, %v", snaps, err)
 	}
